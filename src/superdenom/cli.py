@@ -354,6 +354,11 @@ def resolve_config(args) -> argparse.Namespace:
     return cfg
 
 
+# (command, target or kind) pairs whose output is empty below height 1
+NEEDS_HEIGHT = {("verify", "denominator"), ("verify", "mult"),
+                ("table", "mult"), ("table", "simple_roots")}
+
+
 def validate(cfg):
     if cfg.command in ("verify", "table") and cfg.order not in (1, 3, 7):
         raise UsageError(f"unsupported twist order {cfg.order}")
@@ -361,6 +366,11 @@ def validate(cfg):
         raise UsageError("jobs must be at least 1")
     if cfg.prec < 1 or (cfg.height is not None and cfg.height < 0):
         raise UsageError("precision and height must be positive")
+    what = getattr(cfg, "target" if cfg.command == "verify" else "kind", None)
+    if (cfg.command, what) in NEEDS_HEIGHT and cfg.height < 1:
+        raise UsageError(f"{cfg.command} {what} needs height at least 1")
+    if cfg.max_norm is not None and cfg.max_norm < 0:
+        raise UsageError("max-norm must be nonnegative")
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .mult import TwistClass, mult_closed
 from .lattices import LorentzianPoint

@@ -141,16 +141,16 @@ _NAMED_QUOTIENTS = {
     "c3": (2, ((6, 2), (2, 2), (3, -4), (1, -4))),
     "c7": (1, ((14, 1), (2, 1), (7, -2), (1, -2))),
     # prod (1-q^{kn})/(1+q^{kn}) = eta(q^k)^2 / eta(q^{2k})
+    "a1": (1, ((1, 16), (2, -8))),
     "a3": (1, ((1, 4), (3, 4), (2, -2), (6, -2))),
     "a7": (1, ((1, 2), (7, 2), (2, -1), (14, -1))),
-    "a1": (1, ((1, 16), (2, -8))),
 }
 
-SERIES_NAMES = ("fake_c", "c3", "c7", "a3", "a7")
+SERIES_NAMES = tuple(_NAMED_QUOTIENTS)
 
 
 def named_series(name: str, prec) -> QSeries:
-    """One of the stable named series (plus 'a1', the untwisted tail)."""
+    """One of the stable named series listed in SERIES_NAMES."""
     if name not in _NAMED_QUOTIENTS:
         raise KeyError(f"unknown series {name!r}")
     scalar, factors = _NAMED_QUOTIENTS[name]

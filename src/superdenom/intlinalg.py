@@ -140,15 +140,6 @@ def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def identity(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
 def mat_inv(a):
     """Inverse of a square rational matrix by Gauss-Jordan elimination."""
     n = len(a)
@@ -167,11 +158,6 @@ def mat_inv(a):
                 f = work[r][col]
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
-
-
-def solve(a, v):
-    """Solve the square rational system A x = v."""
-    return mat_vec(mat_inv(a), v)
 
 
 def det(a):

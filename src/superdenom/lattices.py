@@ -6,19 +6,19 @@ and for all with Gram [[0,-1],[-1,0]] and positive cone {m >= 0, n >= 0};
 Lorentzian points are handled by LorentzianLattice below without an explicit
 ambient Lorentzian space.
 
-All enumeration is exact-rational (Fincke-Pohst with rational interval
-bounds) and deterministic (lexicographic coordinate order).
+All enumeration is exact (Fincke-Pohst, rescaled once so that it runs on
+integers) and deterministic (lexicographic coordinate order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arith import floor_sqrt
 from .intlinalg import (det, hnf, left_kernel_basis, mat_inv, mat_mul,
-                        mat_vec, snf_invariants, transpose)
+                        mat_vec, snf_invariants)
 from .series import QSeries
 
 
@@ -203,12 +203,12 @@ def _fp_decompose(gram):
 
 
 def _enumerate_scaled(lattice: IntegralLattice, s, max_norm):
-    """All (coords, (x+s)^2 as Fraction) with (x + s)^2 <= max_norm.
+    """(points, T): every (coords, T*(x+s)^2) with (x + s)^2 <= max_norm.
 
     Everything is rescaled to integers once so the recursion runs on plain
     ints: with M a common denominator of the completion data, the offset
     centers live on the grid (1/M^2)Z and the partial norms are tracked as
-    q * T for a fixed global scale T.
+    q * T for a fixed global scale T, so every returned norm is an int.
     """
     n = lattice.rank
     d, c = _fp_decompose(lattice.gram)
@@ -232,7 +232,7 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm):
 
     def recurse(i, remaining):
         if i < 0:
-            out.append((tuple(x), Fraction(R0 - remaining, T)))
+            out.append((tuple(x), R0 - remaining))
             return
         ci = cN[i]
         centerN = M * sN[i] + sum(ci[j] * y[j] for j in range(i + 1, n))
@@ -251,7 +251,10 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm):
         x[i] = 0
 
     recurse(n - 1, R0)
-    return out
+    # the closure refers to itself; break the cycle so `out` is freed as
+    # soon as the caller drops it, not at the next full collection
+    del recurse
+    return out, T
 
 
 def enumerate_coset(lattice: IntegralLattice, shift, max_norm):
@@ -267,9 +270,9 @@ def enumerate_coset(lattice: IntegralLattice, shift, max_norm):
     n = lattice.rank
     if n == 0:
         return [()]
-    s = [Fraction(0)] * n if shift is None else list(lattice.coords_of(shift))
-    return sorted(coords for coords, _ in
-                  _enumerate_scaled(lattice, s, max_norm))
+    s = [0] * n if shift is None else lattice.coords_of(shift)
+    points, _ = _enumerate_scaled(lattice, s, max_norm)
+    return sorted(coords for coords, _ in points)
 
 
 def theta_coset(lattice: IntegralLattice, shift, prec) -> QSeries:
@@ -277,14 +280,14 @@ def theta_coset(lattice: IntegralLattice, shift, prec) -> QSeries:
     prec = Fraction(prec)
     if lattice.rank == 0:
         return QSeries.one(trunc=prec)
-    counts: dict[Fraction, int] = {}
-    s = [Fraction(0)] * lattice.rank if shift is None \
-        else list(lattice.coords_of(shift))
-    for _, norm in _enumerate_scaled(lattice, s, 2 * prec):
-        e = norm / 2
-        if e < prec:
-            counts[e] = counts.get(e, 0) + 1
-    return QSeries.from_terms(counts.items(), trunc=prec)
+    s = [0] * lattice.rank if shift is None else lattice.coords_of(shift)
+    points, T = _enumerate_scaled(lattice, s, 2 * prec)
+    counts: dict[int, int] = {}
+    for _, q in points:
+        counts[q] = counts.get(q, 0) + 1
+    # exponents q/2T >= prec are dropped by the truncation
+    return QSeries.from_terms(((Fraction(q, 2 * T), k)
+                               for q, k in counts.items()), trunc=prec)
 
 
 # ----------------------------------------------------------------------
@@ -422,51 +425,38 @@ class LorentzianPoint:
 
 
 class LorentzianLattice:
-    """L = fixed + II_{1,1} with its dual, cone and membership machinery."""
+    """L = fixed + II_{1,1} with its dual, cone and membership machinery.
+
+    Points of L* carry dual coordinates r*, and every question about them is
+    answered in integers through A = D * Gram^{-1}, D the exponent of the
+    discriminant group: r* lies in the fixed lattice iff A r* = 0 mod D, and
+    r*^2 = r*.A r* / D.
+    """
 
     def __init__(self, fixed: IntegralLattice):
         self.fixed = fixed
         self.dual = fixed.dual() if fixed.rank else fixed
         self.gram_int = fixed.gram_int()
-        self.dual_gram = fixed.gram_inv() if fixed.rank else []
-        self._norm_cache: dict[tuple[int, ...], Fraction] = {}
+        inv = fixed.gram_inv()
+        self.exponent = lcm(1, *(x.denominator for row in inv for x in row))
+        self._scaled_inv = [[int(x * self.exponent) for x in row]
+                            for row in inv]
 
     def rstar_norm(self, rcoords) -> Fraction:
-        key = tuple(rcoords)
-        n = self._norm_cache.get(key)
-        if n is None:
-            g = self.dual_gram
-            n = Fraction(0)
-            for i, ci in enumerate(key):
-                if ci:
-                    for j, cj in enumerate(key):
-                        if cj:
-                            n += ci * cj * g[i][j]
-            self._norm_cache[key] = n
-        return n
+        return Fraction(_dot(rcoords, mat_vec(self._scaled_inv, rcoords)),
+                        self.exponent)
 
     def norm(self, p: LorentzianPoint) -> Fraction:
         return self.rstar_norm(p.rcoords) - 2 * p.m * p.n
 
     def pairing_divisor(self, p: LorentzianPoint) -> int:
-        g = 0
-        for c in p.rcoords:
-            g = gcd(g, c)
-        return gcd(gcd(g, p.m), p.n)
+        return gcd(p.m, p.n, *p.rcoords)
 
     def in_lattice(self, p: LorentzianPoint) -> bool:
         """Membership of the definite part in the fixed lattice itself."""
-        if not self.fixed.rank:
-            return True
-        w = mat_vec(self.dual_gram, [Fraction(c) for c in p.rcoords])
-        return all(x.denominator == 1 for x in w)
-
-    def lattice_coords(self, p: LorentzianPoint):
-        """(fixed-basis coords of r, m, n) for a point of L."""
-        w = mat_vec(self.dual_gram, [Fraction(c) for c in p.rcoords])
-        if any(x.denominator != 1 for x in w):
-            raise ValueError("point is not in L")
-        return tuple(int(x) for x in w), p.m, p.n
+        D = self.exponent
+        return D == 1 or all(
+            x % D == 0 for x in mat_vec(self._scaled_inv, p.rcoords))
 
     def in_n_dual(self, p: LorentzianPoint, n: int) -> bool:
         """Membership in N*L*."""
@@ -479,31 +469,24 @@ class LorentzianLattice:
 
     # -- enumeration -----------------------------------------------------
 
-    def _dual_vectors_by_norm(self, max_norm: Fraction):
-        """Sorted list of (norm, coords) of dual vectors with norm <= bound."""
-        out = []
-        for coords in enumerate_coset(self.dual, None, max_norm):
-            out.append((self.rstar_norm(coords), coords))
-        out.sort()
-        return out
-
     def positive_cone_enum(self, max_height: int):
         """All nonzero points (r*; m, n), m,n >= 0, m+n <= H, r*^2 <= 2mn.
 
-        Deterministic order: by (height, m, coords).
+        Deterministic order: by (height, m, r*^2, coords).
         """
         if max_height < 1:
             return []
         max_mn = (max_height // 2) * ((max_height + 1) // 2)
-        vecs = self._dual_vectors_by_norm(Fraction(2 * max_mn)) \
-            if self.fixed.rank else [(Fraction(0), ())]
+        points, T = _enumerate_scaled(self.dual, [0] * self.fixed.rank,
+                                      Fraction(2 * max_mn))
+        vecs = sorted((q, coords) for coords, q in points)
         out = []
         for h in range(1, max_height + 1):
             for m in range(h + 1):
                 n = h - m
-                cap = 2 * m * n
-                for nrm, coords in vecs:
-                    if nrm > cap:
+                cap = 2 * m * n * T
+                for q, coords in vecs:
+                    if q > cap:
                         break
                     out.append(LorentzianPoint(coords, m, n))
         return out
@@ -512,29 +495,25 @@ class LorentzianLattice:
         """Primitive norm-zero points of L^+ with height <= H.
 
         Returns a list of (point, max_multiple) with max_multiple the largest
-        k such that k*height <= H.
+        k such that k*height <= H.  The fixed lattice is enumerated once and
+        bucketed by norm; a vector c of norm 2mn gives the point (Gc; m, n).
         """
         out = []
         zero = (0,) * self.fixed.rank
-        for p in [LorentzianPoint(zero, 1, 0), LorentzianPoint(zero, 0, 1)]:
-            if max_height >= 1:
-                out.append((p, max_height))
+        if max_height >= 1:
+            out += [(LorentzianPoint(zero, 1, 0), max_height),
+                    (LorentzianPoint(zero, 0, 1), max_height)]
+        max_mn = (max_height // 2) * ((max_height + 1) // 2)
+        points, T = _enumerate_scaled(self.fixed, zero, Fraction(2 * max_mn))
+        by_norm: dict[int, list] = {}
+        for coords, q in points:
+            by_norm.setdefault(q // T, []).append(coords)
         for m in range(1, max_height):
             for n in range(1, max_height + 1 - m):
-                target = Fraction(2 * m * n)
-                if not self.fixed.rank:
-                    continue
-                for coords in enumerate_coset(self.fixed, None, target):
-                    if self.fixed.norm_of_coords(coords) != target:
-                        continue
-                    g = 0
-                    for c in coords:
-                        g = gcd(g, c)
-                    if gcd(gcd(g, m), n) != 1:
-                        continue
-                    p = projection_coords(self.fixed,
-                                          self.fixed.vector(coords))
-                    pt = LorentzianPoint(tuple(int(x) for x in p), m, n)
-                    out.append((pt, max_height // (m + n)))
+                for c in by_norm.get(2 * m * n, ()):
+                    if gcd(m, n, *c) == 1:
+                        pt = LorentzianPoint(tuple(mat_vec(self.gram_int, c)),
+                                             m, n)
+                        out.append((pt, max_height // (m + n)))
         out.sort(key=lambda t: (t[0].height, t[0].m, t[0].rcoords))
         return out

@@ -19,14 +19,12 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import divisors, mobius
-from .etaq import (CycleShape, c_series, dim_gf, tail_series, trace_gf_even,
-                   trace_gf_odd)
-from .lattices import (IntegralLattice, LorentzianLattice, LorentzianPoint,
+from .etaq import c_series, dim_gf, tail_series, trace_gf_even, trace_gf_odd
+from .lattices import (LorentzianLattice, LorentzianPoint,
                        build_coset_shift_table, e8_lattice, fixed_sublattice,
                        orthogonal_complement, theta_coset)
 from .octonion import (build_twist_element, cycle_shape, mat_trace8, rho_L,
                        rho_R, rho_V)
-from .series import QSeries
 
 
 class NonIntegralMultiplicity(ArithmeticError):
@@ -61,8 +59,7 @@ class TwistClass:
         self.u = build_twist_element(order)
         self.rho_v = rho_V(self.u)
         self.rho_l = rho_L(self.u)
-        self.rho_r = rho_R(self.u)
-        if mat_trace8(self.rho_l) != mat_trace8(self.rho_r):
+        if mat_trace8(self.rho_l) != mat_trace8(rho_R(self.u)):
             raise ValueError("spinor traces differ; trace hypothesis violated")
         self.trace_l = int(mat_trace8(self.rho_l))
         self.shape_V = cycle_shape(self.rho_v)
@@ -74,9 +71,6 @@ class TwistClass:
         self.shift_table = build_coset_shift_table(self.fixed, self.e8,
                                                    self.disc)
         self.lorentzian = LorentzianLattice(self.fixed)
-        # trace generating functions exist per divisor class of the order;
-        # for the shipped (prime or trivial) orders only g itself is needed
-        self.shape_by_power = {1: self.shape_V}
         self._prec = max(prec, 8)
         # dimension series need theta enumeration of the complement, whose
         # cost grows quickly with precision; they are only ever read at the

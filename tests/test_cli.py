@@ -5,6 +5,7 @@ import json
 import pytest
 
 from superdenom.cli import canonical_json, main
+from superdenom.etaq import named_series
 
 
 def run(capsys, *argv):
@@ -44,6 +45,18 @@ class TestExitCodes:
         code, out, _ = run(capsys, "verify", "spin", "--order", "3")
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "denominator", "--height", "0"),
+        ("verify", "mult", "--height", "0"),
+        ("table", "mult", "--height", "0"),
+        ("table", "simple_roots", "--height", "0"),
+        ("table", "mult", "--max-norm", "-5"),
+    ], ids=["verify-denominator", "verify-mult", "table-mult",
+            "table-simple_roots", "max-norm"])
+    def test_vacuous_run_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err
 
 
 class TestReports:
@@ -91,6 +104,12 @@ class TestDump:
         assert payload["series"] == "c3"
         terms = {e: c for e, c in payload["terms"]}
         assert terms["0"] == "2" and terms["1"] == "8"
+
+    def test_dump_a1(self, capsys):
+        code, payload, _ = run_json(capsys, "dump", "a1", "--prec", "3")
+        assert code == 0
+        assert payload["terms"] == [list(p) for p in
+                                    named_series("a1", 3).to_pairs()]
 
     def test_csv_dump_header(self, capsys):
         code, out, _ = run(capsys, "dump", "a7", "--prec", "3",

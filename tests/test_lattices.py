@@ -1,18 +1,21 @@
 """Integer linear algebra and the lattice engine."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from superdenom.intlinalg import (det, hnf, hnf_with_transform,
                                   left_kernel_basis, mat_inv, mat_mul,
-                                  snf_invariants)
+                                  mat_vec, snf_invariants)
 from superdenom.lattices import (IntegralLattice, LorentzianLattice,
                                  LorentzianPoint, build_coset_shift_table,
                                  e8_lattice, enumerate_coset,
                                  fixed_sublattice, orthogonal_complement,
                                  preserves_lattice, theta_coset)
+from superdenom.mult import TwistClass
 from superdenom.octonion import build_twist_element, rho_V
+from superdenom.series import QSeries
 
 F = Fraction
 
@@ -197,3 +200,121 @@ class TestLorentzian:
         assert self.lor.in_lattice(alpha)
         assert self.lor.in_n_dual(alpha, 3)
         assert not self.lor.in_n_lattice(alpha, 3)
+
+
+# ----------------------------------------------------------------------
+# the integer lattice core against the rational computations it replaced
+
+
+@pytest.fixture(scope="module")
+def twists():
+    return {order: TwistClass(order) for order in (1, 3, 7)}
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _ref_in_lattice(gram_inv, p):
+    """r* lies in the fixed lattice iff Gram^{-1} r* is integral."""
+    w = mat_vec(gram_inv, [F(c) for c in p.rcoords])
+    return all(x.denominator == 1 for x in w)
+
+
+def _ref_rstar_norm(gram_inv, rcoords):
+    return sum((ci * cj * gram_inv[i][j] for i, ci in enumerate(rcoords)
+                for j, cj in enumerate(rcoords)), F(0))
+
+
+def _ref_isotropic(fixed, max_height):
+    """One enumeration of the fixed lattice per (m, n), with norms and
+    projections taken from ambient vectors, scaled by a common denominator
+    M of the basis so that they stay integers."""
+    M = lcm(1, *(x.denominator for row in fixed.basis for x in row))
+    basis = [[int(x * M) for x in row] for row in fixed.basis]
+    zero = (0,) * fixed.rank
+    out = [(LorentzianPoint(zero, 1, 0), max_height),
+           (LorentzianPoint(zero, 0, 1), max_height)] if max_height >= 1 \
+        else []
+    for m in range(1, max_height):
+        for n in range(1, max_height + 1 - m):
+            if not fixed.rank:
+                continue
+            for coords in enumerate_coset(fixed, None, 2 * m * n):
+                v = [sum(c * b[i] for c, b in zip(coords, basis))
+                     for i in range(fixed.ambient_dim)]
+                if _dot(v, v) != 2 * m * n * M * M:
+                    continue
+                if gcd(gcd(gcd(0, *coords), m), n) != 1:
+                    continue
+                pairings = [_dot(v, b) for b in basis]
+                assert all(x % (M * M) == 0 for x in pairings)
+                pt = LorentzianPoint(tuple(x // (M * M) for x in pairings),
+                                     m, n)
+                out.append((pt, max_height // (m + n)))
+    out.sort(key=lambda t: (t[0].height, t[0].m, t[0].rcoords))
+    return out
+
+
+def _ref_theta(lattice, shift, prec):
+    """Theta series with one norm per vector, from its ambient vector scaled
+    by a common denominator M, bucketed by Fraction exponent."""
+    M = lcm(1, *(F(x).denominator for row in lattice.basis + (shift,)
+                 for x in row))
+    basis = [[int(x * M) for x in row] for row in lattice.basis]
+    s = [int(F(x) * M) for x in shift]
+    counts = {}
+    for coords in enumerate_coset(lattice, shift, 2 * prec):
+        v = [s[i] + sum(c * b[i] for c, b in zip(coords, basis))
+             for i in range(lattice.ambient_dim)]
+        e = F(_dot(v, v), 2 * M * M)
+        if e < prec:
+            counts[e] = counts.get(e, 0) + 1
+    return QSeries.from_terms(counts.items(), trunc=prec)
+
+
+class TestIntegerCoreOracles:
+    @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 6)])
+    def test_membership_and_norm(self, twists, order, height):
+        lor = twists[order].lorentzian
+        g = lor.fixed.gram_inv()
+        points = lor.positive_cone_enum(height)
+        assert points
+        members = 0
+        for p in points:
+            inside = _ref_in_lattice(g, p)
+            members += inside
+            assert lor.in_lattice(p) == inside, p
+            assert lor.rstar_norm(p.rcoords) == \
+                _ref_rstar_norm(g, p.rcoords), p
+            for n in (2, 3, 7):
+                ref = lor.in_n_dual(p, n) and _ref_in_lattice(g, p.divide(n))
+                assert lor.in_n_lattice(p, n) == ref, (p, n)
+        # both answers occur off order 1
+        assert members == len(points) if order == 1 \
+            else 0 < members < len(points)
+
+    @staticmethod
+    def _check_isotropic(lor, max_height):
+        """Heights 0..H against one reference run at H: the points of
+        height <= h are a prefix of it, with max multiple h // height."""
+        ref = _ref_isotropic(lor.fixed, max_height)
+        for h in range(max_height + 1):
+            assert lor.primitive_isotropic_enum(h) == \
+                [(p, h // p.height) for p, _ in ref if p.height <= h], h
+
+    @pytest.mark.parametrize("order,max_height", [(1, 4), (3, 8), (7, 8)])
+    def test_isotropic_enum(self, twists, order, max_height):
+        self._check_isotropic(twists[order].lorentzian, max_height)
+
+    def test_isotropic_enum_rank_zero(self):
+        self._check_isotropic(LorentzianLattice(IntegralLattice(())), 8)
+
+    @pytest.mark.parametrize("order", [3, 7])
+    def test_theta_cosets(self, twists, order):
+        tc = twists[order]
+        for _, shift in sorted(tc.shift_table.items()):
+            th = theta_coset(tc.complement, shift, F(6))
+            ref = _ref_theta(tc.complement, shift, F(6))
+            assert th.terms and (th.expdenom, th.terms, th.trunc) == \
+                (ref.expdenom, ref.terms, ref.trunc), shift
