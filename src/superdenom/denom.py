@@ -2,10 +2,14 @@
 
 The product side is a product over positive-cone points alpha of
 (1 - e^alpha)^mult_even / (1 + e^alpha)^mult_odd, truncated by the height
-h(alpha) = m + n.  The accumulator is bucketed by height so that a factor of
-height h only ever touches accumulator entries of height <= H - h; factors
-are processed in increasing height, which makes the many high-height factors
-O(1) each.  All coefficients are exact integers.
+h(alpha) = m + n.  The accumulator is bucketed by height, and inside a bucket
+a point (r*; m, n) is one integer: r* and m packed as fixed-width signed
+digits (Kronecker substitution), so adding two points is adding two ints, and
+n = h - m comes from the bucket.  A factor is multiplied in place, walking
+the target height down from H so that every bucket it reads still holds the
+old product.  A factor of height h reads only buckets of height <= H - h;
+factors are processed in increasing height, which makes the many high-height
+factors O(1) each.  All coefficients are exact integers.
 """
 
 from __future__ import annotations
@@ -15,90 +19,174 @@ from dataclasses import dataclass
 from math import comb
 
 from .mult import TwistClass, mult_closed
-from .lattices import LorentzianPoint
+from .lattices import LorentzianLattice, LorentzianPoint
 
 Key = tuple  # (rcoords tuple, m, n)
+
+# Width in bits of one packed digit.  A series of height H accepts
+# coordinates up to (2^23 - 1) // H, 466,033 at H = 18, where the cone's
+# dual coordinates stay below 70.
+_DIGIT_BITS = 24
 
 
 def _key(p: LorentzianPoint) -> Key:
     return (p.rcoords, p.m, p.n)
 
 
-class LatticeSeries:
-    """Integer-coefficient series on cone points, truncated by height."""
+def _shift_add(dst: dict, src: dict, shift: int, c: int):
+    """dst += c * e^shift * src on packed keys, deleting keys that reach 0."""
+    get = dst.get
+    for k, v in src.items():
+        k += shift
+        v = get(k, 0) + v * c
+        if v:
+            dst[k] = v
+        else:
+            del dst[k]
 
-    def __init__(self, max_height: int):
+
+class LatticeSeries:
+    """Integer-coefficient series on cone points, truncated by height.
+
+    Points go in and come out as (rcoords, m, n) tuples.  Inside, bucket h
+    maps pack(r*, m) to the coefficient of the point of height h.  Only the
+    zero point may have height 0, so every point the series holds is a sum of
+    at most max_height packed points, and pack refuses any coordinate that
+    such a sum could carry out of its digit.  Within a bucket the packed
+    order is the (m, r*) order.
+    """
+
+    def __init__(self, max_height: int, rank: int):
         self.max_height = max_height
-        # buckets[h] maps key -> coefficient, key height is h
-        self.buckets: list[dict[Key, int]] = [dict()
+        self.rank = rank
+        # a digit d is stored in [-half, half) and read back as
+        # ((x + half) & mask) - half; the low part, all of r*, likewise
+        half = 1 << (_DIGIT_BITS - 1)
+        self.limit = (half - 1) // max(max_height, 1)
+        self._half, self._mask = half, 2 * half - 1
+        low = 1 << (_DIGIT_BITS * rank)
+        self._low_half, self._low_mask = low >> 1, low - 1
+        # buckets[h] maps packed key -> coefficient, key height is h
+        self.buckets: list[dict[int, int]] = [dict()
                                               for _ in range(max_height + 1)]
 
     @classmethod
     def one(cls, max_height: int, rank: int) -> "LatticeSeries":
-        s = cls(max_height)
-        s.buckets[0][((0,) * rank, 0, 0)] = 1
+        s = cls(max_height, rank)
+        s.buckets[0][0] = 1
         return s
+
+    # -- packed keys -----------------------------------------------------
+
+    def pack(self, rcoords, m: int) -> int:
+        """m * B^rank + sum_i r*_i * B^(rank-1-i) with B = 2^24."""
+        if len(rcoords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates")
+        lim = self.limit
+        if abs(m) > lim or any(abs(c) > lim for c in rcoords):
+            raise OverflowError(f"coordinate beyond +-{lim}")
+        code = m
+        for c in rcoords:
+            code = (code << _DIGIT_BITS) + c
+        return code
+
+    def unpack(self, code: int):
+        """Inverse of pack: (rcoords, m)."""
+        half, mask = self._half, self._mask
+        digits = []
+        for _ in range(self.rank):
+            d = ((code + half) & mask) - half
+            digits.append(d)
+            code = (code - d) >> _DIGIT_BITS
+        return tuple(reversed(digits)), code
+
+    def split(self, code: int):
+        """(m, packed r*) of a packed key."""
+        low = ((code + self._low_half) & self._low_mask) - self._low_half
+        return (code - low) >> (_DIGIT_BITS * self.rank), low
+
+    def _locate(self, key: Key):
+        """(height, packed key) of a point."""
+        rcoords, m, n = key
+        h = m + n
+        if h < 0 or (h == 0 and (m or any(rcoords))):
+            raise ValueError(f"{key}: only the zero point has height <= 0")
+        return h, self.pack(rcoords, m)
+
+    def key_of(self, h: int, code: int) -> Key:
+        rcoords, m = self.unpack(code)
+        return (rcoords, m, h - m)
+
+    # -- tuple-keyed access ----------------------------------------------
 
     def coeff(self, key: Key) -> int:
         h = key[1] + key[2]
         if h > self.max_height:
             raise KeyError(f"height {h} beyond truncation {self.max_height}")
-        return self.buckets[h].get(key, 0)
+        try:
+            h, code = self._locate(key)
+        except (ValueError, OverflowError):
+            return 0  # no such point can be held
+        return self.buckets[h].get(code, 0)
 
     def add_term(self, key: Key, c: int):
-        h = key[1] + key[2]
-        if h > self.max_height or c == 0:
+        if c == 0 or key[1] + key[2] > self.max_height:
             return
+        h, code = self._locate(key)
         b = self.buckets[h]
-        nc = b.get(key, 0) + c
+        nc = b.get(code, 0) + c
         if nc:
-            b[key] = nc
+            b[code] = nc
         else:
-            b.pop(key, None)
+            del b[code]
 
     def term_count(self) -> int:
         return sum(len(b) for b in self.buckets)
 
     def items(self):
-        """All (key, coefficient) pairs in deterministic order."""
+        """All (key, coefficient) pairs, ordered by (height, m, r*)."""
         out = []
-        for b in self.buckets:
-            out.extend(b.items())
-        out.sort(key=lambda kv: (kv[0][1] + kv[0][2], kv[0][1], kv[0][0]))
+        for h, b in enumerate(self.buckets):
+            out.extend((self.key_of(h, code), b[code]) for code in sorted(b))
         return out
+
+    # -- products --------------------------------------------------------
 
     def mul_factor(self, powers):
         """In-place multiply by 1 + sum_k c_k e^{k*alpha}.
 
-        powers is a list of (key of k*alpha, c_k) with c_k != 0.
+        powers is a list of (key of k*alpha, c_k), each of positive height.
+        new[t] = old[t] + sum_k c_k e^{k*alpha} old[t - k*h(alpha)], for t
+        from H down to 1, so every bucket read is still the old one.
         """
-        H = self.max_height
-        updates = []
-        for (rc, fm, fn), c in powers:
-            fh = fm + fn
-            for h in range(H - fh + 1):
-                for (arc, am, an), ac in self.buckets[h].items():
-                    updates.append((
-                        (tuple(a + b for a, b in zip(arc, rc)),
-                         am + fm, an + fn), ac * c))
-        for key, c in updates:
-            self.add_term(key, c)
+        H, buckets = self.max_height, self.buckets
+        terms = []
+        for key, c in powers:
+            if c and key[1] + key[2] <= H:
+                h, code = self._locate(key)
+                if h < 1:
+                    raise ValueError("factor terms must have positive height")
+                terms.append((h, code, c))
+        for t in range(H, 0, -1):
+            dst = buckets[t]
+            for h, code, c in terms:
+                if h <= t:
+                    _shift_add(dst, buckets[t - h], code, c)
 
     def mul_series(self, other: "LatticeSeries") -> "LatticeSeries":
         """Truncated product of two series (used to merge partial products)."""
         H = min(self.max_height, other.max_height)
-        out = LatticeSeries(H)
+        out = LatticeSeries(H, self.rank)
         for h1 in range(H + 1):
-            for (rc1, m1, n1), c1 in self.buckets[h1].items():
+            for k1, c1 in self.buckets[h1].items():
                 for h2 in range(H - h1 + 1):
-                    for (rc2, m2, n2), c2 in other.buckets[h2].items():
-                        out.add_term(
-                            (tuple(a + b for a, b in zip(rc1, rc2)),
-                             m1 + m2, n1 + n2), c1 * c2)
+                    _shift_add(out.buckets[h1 + h2], other.buckets[h2],
+                               k1, c1)
         return out
 
     def __eq__(self, other) -> bool:
         return (self.max_height == other.max_height
+                and self.rank == other.rank
                 and self.buckets == other.buckets)
 
 
@@ -155,15 +243,19 @@ def _factor_list(tc: TwistClass, max_height: int, form: str):
     """
     lor = tc.lorentzian
     factors = []
+    member: dict[tuple, bool] = {}  # r* -> in_lattice; (m, n) plays no part
     for p in lor.positive_cone_enum(max_height):
-        if not lor.in_lattice(p):
+        inside = member.get(p.rcoords)
+        if inside is None:
+            inside = member[p.rcoords] = lor.in_lattice(p)
+        if not inside:
             continue  # multiplicities vanish off L
-        n2 = -lor.norm(p)
         if form == "theorem1" or tc.order == 1:
             me, mo = mult_closed(tc, p)
             if me or mo:
                 factors.append((p, int(me), int(mo)))
         elif form == "split":
+            n2 = -lor.norm(p)
             c1 = tc.c_coeff(n2 / 2)
             if c1:
                 factors.append((p, int(c1), int(c1)))
@@ -180,9 +272,11 @@ def product_side(tc: TwistClass, max_height: int, jobs: int = 1,
                  form: str = "split") -> LatticeSeries:
     """Expand the product over the positive cone, truncated by height.
 
-    jobs partitions the factor list into contiguous chunks whose partial
-    products are merged by truncated multiplication; the result is identical
-    for every chunk count.
+    jobs deals the height-sorted factor list round-robin into that many
+    chunks.  Each chunk is multiplied into its own accumulator, one chunk
+    after another in this process (there is no parallelism), and the partial
+    products are then merged by truncated multiplication (mul_series).  The
+    result is identical for every chunk count.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -237,6 +331,25 @@ class IdentityReport:
         return self.status == "pass"
 
 
+def _anisotropic_ok(prod: LatticeSeries, lor: LorentzianLattice) -> bool:
+    """No product term lies off the cone: r*^2 >= 2mn at every key.
+
+    Tested in integers as r*.A r* >= 2mn * D, once per distinct r*.
+    """
+    D = lor.exponent
+    scaled: dict[int, int] = {}  # packed r* -> D * r*^2
+    for h, b in enumerate(prod.buckets):
+        for code in b:
+            m, rpart = prod.split(code)
+            q = scaled.get(rpart)
+            if q is None:
+                q = scaled[rpart] = lor.rstar_norm_scaled(
+                    prod.unpack(rpart)[0])
+            if q < 2 * m * (h - m) * D:
+                return False
+    return True
+
+
 def verify_identity(order: int, max_height: int, jobs: int = 1,
                     form: str = "split",
                     tc: TwistClass | None = None) -> IdentityReport:
@@ -248,20 +361,15 @@ def verify_identity(order: int, max_height: int, jobs: int = 1,
     prod = product_side(tc, max_height, jobs=jobs, form=form)
     sums = sum_side(tc, max_height)
     first = None
-    keys = sorted(set(k for k, _ in prod.items())
-                  | set(k for k, _ in sums.items()),
-                  key=lambda k: (k[1] + k[2], k[1], k[0]))
-    for k in keys:
-        a, b = prod.coeff(k), sums.coeff(k)
-        if a != b:
-            first = (k, b, a)  # (location, expected, got)
+    for h, (pb, sb) in enumerate(zip(prod.buckets, sums.buckets)):
+        if pb != sb:
+            # the least packed key is the least (m, r*) in the bucket
+            code = min(k for k in pb.keys() | sb.keys()
+                       if pb.get(k, 0) != sb.get(k, 0))
+            # (location, expected, got)
+            first = (prod.key_of(h, code), sb.get(code, 0), pb.get(code, 0))
             break
-    aniso = True
-    for k, c in prod.items():
-        p = LorentzianPoint(k[0], k[1], k[2])
-        if tc.lorentzian.norm(p) < 0 and c != 0:
-            aniso = False
-            break
+    aniso = _anisotropic_ok(prod, tc.lorentzian)
     wall = int((time.monotonic() - start) * 1000)
     return IdentityReport(
         order=tc.order, max_height=max_height, factor_count=len(factors),

@@ -442,9 +442,12 @@ class LorentzianLattice:
         self._scaled_inv = [[int(x * self.exponent) for x in row]
                             for row in inv]
 
+    def rstar_norm_scaled(self, rcoords) -> int:
+        """D * r*^2 = r*.A r*, an integer."""
+        return _dot(rcoords, mat_vec(self._scaled_inv, rcoords))
+
     def rstar_norm(self, rcoords) -> Fraction:
-        return Fraction(_dot(rcoords, mat_vec(self._scaled_inv, rcoords)),
-                        self.exponent)
+        return Fraction(self.rstar_norm_scaled(rcoords), self.exponent)
 
     def norm(self, p: LorentzianPoint) -> Fraction:
         return self.rstar_norm(p.rcoords) - 2 * p.m * p.n

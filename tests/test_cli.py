@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shape, config handling."""
 
 import json
+import re
 
 import pytest
 
@@ -88,6 +89,35 @@ class TestReports:
             report["params"]["jobs"] = "0"
             outs.append(canonical_json(report))
         assert outs[0] == outs[1] == outs[2]
+
+    def test_perturbed_denominator_report_is_pinned(self, capsys,
+                                                    monkeypatch):
+        """A failing report, byte for byte apart from wall_ms, as the
+        tuple-keyed accumulator wrote it: location, expected and got of the
+        first discrepancy, and the anisotropic check."""
+        import superdenom.denom as dn
+        orig = dn.mult_closed
+
+        def bad(tc, p):
+            e, o = orig(tc, p)
+            if tc.lorentzian.norm(p) == -2:
+                return (e + 1, o + 1)
+            return (e, o)
+        monkeypatch.setattr(dn, "mult_closed", bad)
+        code, out, _ = run(capsys, "verify", "denominator", "--order", "1",
+                           "--height", "2", "--format", "json")
+        assert code == 1
+        assert re.sub(r',"wall_ms":[0-9]+', "", out) == (
+            '{"checks":[{"first_discrepancy":{"expected":"0","got":"-2",'
+            '"location":"((0, 0, 0, 0, 0, 0, 0, 0),1,1)"},'
+            '"name":"product_equals_sum","pass":false,'
+            '"range":"height<=2, 245 factors"},'
+            '{"first_discrepancy":{"expected":null,"got":null,'
+            '"location":null},"name":"anisotropic_cancellation",'
+            '"pass":false,"range":"height<=2"}],'
+            '"command":"verify denominator",'
+            '"params":{"height":"2","jobs":"1","order":"1","prec":"50"},'
+            '"status":"fail"}\n')
 
 
 class TestDump:

@@ -1,6 +1,8 @@
 """Denominator-identity expander: factors, product, sum, reports."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superdenom.denom import (LatticeSeries, expand_factor,
                               factor_coefficients, product_side, sum_side,
@@ -83,6 +85,192 @@ class TestLatticeSeries:
         c.mul_factor([(((0,), 0, 1), 7)])
         assert ab == c
 
+    def test_noncone_height_zero_rejected(self):
+        s = LatticeSeries.one(3, 1)
+        with pytest.raises(ValueError):
+            s.add_term(((1,), 0, 0), 1)
+        with pytest.raises(ValueError):
+            s.mul_factor([(((0,), 0, 0), 1)])
+
+
+class _TupleSeries:
+    """The tuple-keyed accumulator that LatticeSeries replaced: one dict
+    per height keyed by (rcoords, m, n), products collected in an update
+    list and added back one add_term at a time.  Kept as the oracle."""
+
+    def __init__(self, max_height):
+        self.max_height = max_height
+        self.buckets = [dict() for _ in range(max_height + 1)]
+
+    @classmethod
+    def one(cls, max_height, rank):
+        s = cls(max_height)
+        s.buckets[0][((0,) * rank, 0, 0)] = 1
+        return s
+
+    def add_term(self, key, c):
+        h = key[1] + key[2]
+        if h > self.max_height or c == 0:
+            return
+        b = self.buckets[h]
+        nc = b.get(key, 0) + c
+        if nc:
+            b[key] = nc
+        else:
+            b.pop(key, None)
+
+    def term_count(self):
+        return sum(len(b) for b in self.buckets)
+
+    def items(self):
+        out = []
+        for b in self.buckets:
+            out.extend(b.items())
+        out.sort(key=lambda kv: (kv[0][1] + kv[0][2], kv[0][1], kv[0][0]))
+        return out
+
+    def mul_factor(self, powers):
+        H = self.max_height
+        updates = []
+        for (rc, fm, fn), c in powers:
+            fh = fm + fn
+            for h in range(H - fh + 1):
+                for (arc, am, an), ac in self.buckets[h].items():
+                    updates.append((
+                        (tuple(a + b for a, b in zip(arc, rc)),
+                         am + fm, an + fn), ac * c))
+        for key, c in updates:
+            self.add_term(key, c)
+
+    def mul_series(self, other):
+        H = min(self.max_height, other.max_height)
+        out = _TupleSeries(H)
+        for h1 in range(H + 1):
+            for (rc1, m1, n1), c1 in self.buckets[h1].items():
+                for h2 in range(H - h1 + 1):
+                    for (rc2, m2, n2), c2 in other.buckets[h2].items():
+                        out.add_term(
+                            (tuple(a + b for a, b in zip(rc1, rc2)),
+                             m1 + m2, n1 + n2), c1 * c2)
+        return out
+
+
+def _powers(alpha, coeffs):
+    """Terms of 1 + sum_k coeffs[k-1] x^k at x = e^alpha."""
+    rc, m, n = alpha
+    return [((tuple(k * x for x in rc), k * m, k * n), c)
+            for k, c in enumerate(coeffs, 1) if c]
+
+
+def _inverse(coeffs):
+    """Coefficients 1..len(coeffs) of 1 / (1 + sum_k coeffs[k-1] x^k)."""
+    d = [1]
+    for j in range(1, len(coeffs) + 1):
+        d.append(-sum(coeffs[k - 1] * d[j - k] for k in range(1, j + 1)))
+    return d[1:]
+
+
+@st.composite
+def _factor_lists(draw):
+    """(rank, H, list of power lists): random factors over ranks 0, 1, 2
+    and 8 with negative coordinates, some followed by their inverse so that
+    whole products cancel back to 1."""
+    rank = draw(st.sampled_from((0, 1, 2, 8)))
+    H = draw(st.integers(1, 6))
+    factors = []
+    for _ in range(draw(st.integers(0, 5))):
+        m = draw(st.integers(0, H))
+        n = draw(st.integers(0 if m else 1, H - m))
+        rc = tuple(draw(st.lists(st.integers(-4, 4), min_size=rank,
+                                 max_size=rank)))
+        kmax = H // (m + n)
+        cs = draw(st.lists(st.integers(-3, 3), min_size=kmax,
+                           max_size=kmax))
+        if any(cs):
+            factors.append(_powers((rc, m, n), cs))
+            if draw(st.booleans()):
+                factors.append(_powers((rc, m, n), _inverse(cs)))
+    return rank, H, draw(st.permutations(factors))
+
+
+def _both(rank, H, factors):
+    new, ref = LatticeSeries.one(H, rank), _TupleSeries.one(H, rank)
+    for powers in factors:
+        new.mul_factor(powers)
+        ref.mul_factor(powers)
+    return new, ref
+
+
+class TestAccumulatorOracle:
+    """LatticeSeries against the tuple-keyed accumulator it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_factor_lists())
+    def test_mul_factor_matches_tuple_accumulator(self, case):
+        new, ref = _both(*case)
+        assert new.items() == ref.items()
+        assert new.term_count() == ref.term_count()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_factor_lists(), st.data())
+    def test_mul_series_matches_tuple_accumulator(self, case, data):
+        rank, H, factors = case
+        cut = data.draw(st.integers(0, len(factors)))
+        H2 = data.draw(st.integers(H, H + 2))
+        new1, ref1 = _both(rank, H, factors[:cut])
+        new2, ref2 = _both(rank, H2, factors[cut:])
+        new, ref = new1.mul_series(new2), ref1.mul_series(ref2)
+        assert new.items() == ref.items()
+        assert new.term_count() == ref.term_count()
+        assert new == _both(rank, H, factors)[0]
+
+    def test_inverse_factor_cancels_to_one(self):
+        alpha, cs = ((2, -3), 1, 1), [5, -1, 0]
+        new, ref = _both(2, 6, [_powers(alpha, cs),
+                                _powers(alpha, _inverse(cs))])
+        assert new.items() == ref.items() == [(((0, 0), 0, 0), 1)]
+        assert new.term_count() == 1
+
+
+class TestPackedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((0, 1, 2, 8)), st.integers(1, 40), st.data())
+    def test_round_trip_and_addition(self, rank, H, data):
+        s = LatticeSeries(H, rank)
+        lim = s.limit
+        coord = st.integers(-lim, lim) | st.sampled_from((-lim, -1, lim))
+        vec = st.tuples(st.lists(coord, min_size=rank, max_size=rank)
+                        .map(tuple), coord)
+        (ra, ma), (rb, mb) = data.draw(vec), data.draw(vec)
+        assert s.unpack(s.pack(ra, ma)) == (ra, ma)
+        assert s.split(s.pack(ra, ma)) == (ma, s.pack(ra, 0))
+        # sums of in-range points add digit by digit
+        rsum = tuple(a + b for a, b in zip(ra, rb))
+        if all(abs(x) <= lim for x in rsum + (ma + mb,)):
+            assert s.pack(ra, ma) + s.pack(rb, mb) == s.pack(rsum, ma + mb)
+
+    def test_order_is_m_then_rcoords(self):
+        s = LatticeSeries(6, 2)
+        pts = [((3, -2), 1), ((-3, 5), 1), ((0, 0), 2), ((-1, -1), 0),
+               ((-1, 0), 0)]
+        assert sorted(pts, key=lambda p: s.pack(*p)) == \
+            sorted(pts, key=lambda p: (p[1], p[0]))
+
+    def test_overflow_past_the_bound(self):
+        s = LatticeSeries.one(6, 2)
+        lim = s.limit
+        # H points at the bound still fit in a digit
+        assert 6 * lim < 1 << 23 <= 6 * (lim + 1)
+        assert s.unpack(6 * s.pack((lim, -lim), lim)) == \
+            ((6 * lim, -6 * lim), 6 * lim)
+        for rc, m in (((lim + 1, 0), 0), ((0, -lim - 1), 1),
+                      ((0, 0), lim + 1)):
+            with pytest.raises(OverflowError):
+                s.pack(rc, m)
+        with pytest.raises(OverflowError):
+            s.add_term(((lim + 1, 0), 1, 0), 1)
+        assert s.coeff(((lim + 1, 0), 1, 0)) == 0
+
 
 class TestSumSide:
     def test_height1_terms(self, tc3):
@@ -164,4 +352,22 @@ class TestVerifyIdentity:
         monkeypatch.setattr(dn, "mult_closed", bad)
         r = dn.verify_identity(3, 3, form="theorem1", tc=tc3)
         assert not r.passed
-        assert r.first_discrepancy is not None
+        # (location, expected, got), pinned from the tuple-keyed accumulator
+        assert r.first_discrepancy == (((0, 0, 0, 0), 1, 1), 0, -2)
+        assert not r.anisotropic_ok
+
+    def test_perturbed_off_axis_location(self, tc3, monkeypatch):
+        """A perturbation away from r* = 0: the reported location has
+        negative coordinates and is the least (height, m, r*)."""
+        import superdenom.denom as dn
+        orig = dn.mult_closed
+
+        def bad(tc, p):
+            e, o = orig(tc, p)
+            if any(p.rcoords) and tc.lorentzian.norm(p) == -2:
+                return (e + 1, o + 1)
+            return (e, o)
+        monkeypatch.setattr(dn, "mult_closed", bad)
+        r = dn.verify_identity(3, 3, form="theorem1", tc=tc3)
+        assert r.first_discrepancy == (((-3, -1, 2, 3), 1, 2), 0, -2)
+        assert not r.anisotropic_ok
