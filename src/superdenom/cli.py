@@ -220,31 +220,37 @@ VERIFY_TARGETS = {
 
 
 # ----------------------------------------------------------------------
-# table and dump commands
+# commands
+
+def run_verify(cfg):
+    start = time.monotonic()
+    checks = VERIFY_TARGETS[cfg.target](cfg)
+    wall = int((time.monotonic() - start) * 1000)
+    params = {"order": cfg.order, "height": cfg.height, "prec": cfg.prec,
+              "jobs": cfg.jobs}
+    report = make_report(f"verify {cfg.target}", params, checks, wall)
+    if cfg.format == "json" or cfg.out:
+        emit(canonical_json(report), cfg.out)
+    else:
+        for c in checks:
+            state = "pass" if c["pass"] else "FAIL"
+            print(f"{state}  {c['name']}"
+                  + (f"  [{c['range']}]" if c["range"] else ""))
+        print(f"status: {report['status']}")
+    return 0 if report["status"] == "pass" else 1
+
 
 def run_table(cfg):
+    tc = mult.TwistClass(cfg.order)
     if cfg.kind == "simple_roots":
-        tc = mult.TwistClass(cfg.order)
-        rows = [(k,) + mult.simple_root_mult(tc, k)
-                for k in range(1, cfg.height + 1)]
-        if cfg.format == "json":
-            text = canonical_json(
-                {"columns": ["k", "mult_even", "mult_odd"],
-                 "order": str(cfg.order),
-                 "rows": [[str(x) for x in r] for r in rows]})
-        elif cfg.format == "csv":
-            lines = ["k,mult_even,mult_odd"]
-            lines += [",".join(str(x) for x in r) for r in rows]
-            text = "\n".join(lines) + "\n"
-        else:
-            lines = ["k\tmult_even\tmult_odd"]
-            lines += ["\t".join(str(x) for x in r) for r in rows]
-            text = "\n".join(lines) + "\n"
+        table = mult.Table(("k", "mult_even", "mult_odd"),
+                           [(k,) + mult.simple_root_mult(tc, k)
+                            for k in range(1, cfg.height + 1)],
+                           {"order": str(cfg.order)})
     else:
-        tc = mult.TwistClass(cfg.order)
         table = mult.build_mult_table(tc, cfg.height, cfg.max_norm)
-        text = {"json": table.to_json, "csv": table.to_csv,
-                "text": table.to_text}[cfg.format]()
+    text = {"json": table.to_json, "csv": table.to_csv,
+            "text": table.to_text}[cfg.format]()
     emit(text, cfg.out)
     return 0
 
@@ -267,6 +273,9 @@ def run_dump(cfg):
     return 0
 
 
+COMMANDS = {"verify": run_verify, "table": run_table, "dump": run_dump}
+
+
 # ----------------------------------------------------------------------
 # argument handling
 
@@ -277,40 +286,35 @@ def _read_config(path) -> dict:
     if not content.lstrip().startswith("["):
         content = "[run]\n" + content
     cp.read_string(content)
-    merged = {}
-    for section in cp.sections():
-        merged.update(dict(cp.items(section)))
-    return merged
+    return {k.replace("-", "_"): v
+            for section in cp.sections() for k, v in cp.items(section)}
 
 
-_INT_KEYS = ("order", "height", "prec", "max_norm", "jobs")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(
         prog="superdenom",
         description="Exact verification of the twisted denominator "
                     "identities of the fake monster superalgebra.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--order", type=int, default=None,
+    def common(sp, order=3, formats=("text", "json", "csv")):
+        sp.add_argument("--order", type=int, default=order,
                         help="twist order (1, 3 or 7)")
-        sp.add_argument("--height", type=int, default=None,
+        sp.add_argument("--height", type=int,
                         help="height truncation of lattice expansions")
-        sp.add_argument("--prec", type=int, default=None,
+        sp.add_argument("--prec", type=int, default=50,
                         help="q-expansion precision")
-        sp.add_argument("--max-norm", dest="max_norm", type=int, default=None)
-        sp.add_argument("--format", choices=("text", "json", "csv"),
-                        default=None)
-        sp.add_argument("--jobs", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--config", default=None,
+        sp.add_argument("--max-norm", dest="max_norm", type=int)
+        sp.add_argument("--format", choices=formats, default="text")
+        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--out")
+        sp.add_argument("--config",
                         help="INI-style key=value defaults (flags win)")
 
     sv = sub.add_parser("verify", help="run an exact verification")
     sv.add_argument("target", choices=sorted(VERIFY_TARGETS))
-    common(sv)
+    common(sv, formats=("text", "json"))
 
     st = sub.add_parser("table", help="emit a multiplicity table")
     st.add_argument("kind", choices=("mult", "simple_roots"))
@@ -318,40 +322,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     sd = sub.add_parser("dump", help="dump a named q-series")
     sd.add_argument("series")
-    common(sd)
-    return p
+    common(sd, order=1)
+    return p, sub.choices
 
 
-def resolve_config(args) -> argparse.Namespace:
-    values = {}
+def parse_args(argv) -> argparse.Namespace:
+    """Parse argv; with --config, parse it again with the file's entries as
+    the subcommand's defaults, so argparse converts them and flags win.
+
+    A config fault exits through argparse with status 2, as a bad flag does.
+    """
+    parser, commands = build_parser()
+    args = parser.parse_args(argv)
     if args.config:
-        for k, v in _read_config(args.config).items():
-            key = k.replace("-", "_")
-            values[key] = int(v) if key in _INT_KEYS else v
-    for k, v in vars(args).items():
-        if v is not None:
-            values[k] = v
-    cfg = argparse.Namespace(**values)
-    # defaults
-    if getattr(cfg, "order", None) is None:
-        cfg.order = 3 if args.command != "dump" else 1
-    if getattr(cfg, "prec", None) is None:
-        cfg.prec = 50
-    if getattr(cfg, "height", None) is None:
-        cfg.height = 4 if cfg.order == 1 else 6
-    if getattr(cfg, "jobs", None) is None:
-        cfg.jobs = 1
-    if getattr(cfg, "format", None) is None:
-        cfg.format = "text"
-    if getattr(cfg, "max_norm", None) is None:
-        cfg.max_norm = None
-    if getattr(cfg, "out", None) is None:
-        cfg.out = None
-    cfg.command = args.command
-    for attr in ("target", "kind", "series"):
-        if hasattr(args, attr):
-            setattr(cfg, attr, getattr(args, attr))
-    return cfg
+        sp = commands[args.command]
+        try:
+            config = _read_config(args.config)
+        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+            sp.error(f"config file {args.config}: {exc}")
+        options = {a.dest: a for a in sp._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        unknown = sorted(config.keys() - options.keys())
+        if unknown:
+            sp.error(f"unknown config key: {', '.join(unknown)}")
+        sp.set_defaults(**config)
+        args = parser.parse_args(argv)
+        # argparse converts a string default but never checks its choices
+        formats = options["format"].choices
+        if args.format not in formats:
+            sp.error(f"config format: invalid choice: {args.format!r} "
+                     f"(choose from {', '.join(formats)})")
+    if args.height is None:
+        args.height = 4 if args.order == 1 else 6
+    return args
 
 
 # (command, target or kind) pairs whose output is empty below height 1
@@ -364,7 +367,7 @@ def validate(cfg):
         raise UsageError(f"unsupported twist order {cfg.order}")
     if cfg.jobs < 1:
         raise UsageError("jobs must be at least 1")
-    if cfg.prec < 1 or (cfg.height is not None and cfg.height < 0):
+    if cfg.prec < 1 or cfg.height < 0:
         raise UsageError("precision and height must be positive")
     what = getattr(cfg, "target" if cfg.command == "verify" else "kind", None)
     if (cfg.command, what) in NEEDS_HEIGHT and cfg.height < 1:
@@ -374,39 +377,14 @@ def validate(cfg):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        cfg = parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        cfg = resolve_config(args)
         validate(cfg)
-        if cfg.command == "verify":
-            start = time.monotonic()
-            checks = VERIFY_TARGETS[cfg.target](cfg)
-            wall = int((time.monotonic() - start) * 1000)
-            params = {"order": cfg.order, "height": cfg.height,
-                      "prec": cfg.prec, "jobs": cfg.jobs}
-            report = make_report(f"verify {cfg.target}", params, checks, wall)
-            if cfg.format == "json" or cfg.out:
-                emit(canonical_json(report), cfg.out)
-            else:
-                for c in checks:
-                    state = "pass" if c["pass"] else "FAIL"
-                    print(f"{state}  {c['name']}"
-                          + (f"  [{c['range']}]" if c["range"] else ""))
-                print(f"status: {report['status']}")
-            return 0 if report["status"] == "pass" else 1
-        if cfg.command == "table":
-            return run_table(cfg)
-        if cfg.command == "dump":
-            return run_dump(cfg)
-        raise UsageError(f"unknown command {cfg.command}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, mult.UnsupportedTwistOrder) as exc:
+        return COMMANDS[cfg.command](cfg)
+    except (UsageError, OSError, mult.UnsupportedTwistOrder) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -301,17 +301,18 @@ def sum_side(tc: TwistClass, max_height: int) -> LatticeSeries:
     """1 + sum over multiples of primitive norm-zero cone points of L.
 
     The coefficient at k times a primitive vector is the k-th coefficient of
-    the twist's tail series.
+    the twist's tail series.  Every k <= max_height is read, since the
+    primitive vector (0; 1, 0) has max_height multiples in the slice.
     """
+    tail = [tc.tail_coeff(k) for k in range(1, max_height + 1)]
+    if any(a.denominator != 1 for a in tail):
+        raise ValueError("tail coefficient is not an integer")
     out = LatticeSeries.one(max_height, tc.fixed.rank)
     for lam, kmax in tc.lorentzian.primitive_isotropic_enum(max_height):
         if not tc.lorentzian.in_lattice(lam):
             continue
         for k in range(1, kmax + 1):
-            a = tc.tail_coeff(k)
-            if a.denominator != 1:
-                raise ValueError("tail coefficient is not an integer")
-            out.add_term(_key(lam.multiply(k)), int(a))
+            out.add_term(_key(lam.multiply(k)), tail[k - 1].numerator)
     return out
 
 

@@ -12,8 +12,6 @@ derivation is wrong for even orders.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from fractions import Fraction
 from math import gcd
@@ -188,41 +186,39 @@ def simple_root_mult(tc: TwistClass, k: int):
     return (even, odd)
 
 
-class MultTable:
-    """Cross-validated multiplicity table over a positive-cone slice."""
+class Table:
+    """Named columns and rows of values, plus metadata for the JSON form."""
 
-    COLUMNS = ("coset", "m", "n", "norm", "pairing_divisor",
-               "mult_even", "mult_odd", "source")
-
-    def __init__(self, order: int, rows):
-        self.order = order
+    def __init__(self, columns, rows, meta: dict):
+        self.columns = tuple(columns)
         self.rows = list(rows)
+        self.meta = meta
 
     def __len__(self):
         return len(self.rows)
 
     def to_json(self) -> str:
         return json.dumps(
-            {"order": self.order, "columns": list(self.COLUMNS),
+            {**self.meta, "columns": list(self.columns),
              "rows": [[str(x) for x in row] for row in self.rows]},
             separators=(",", ":"), sort_keys=True)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(self.COLUMNS)
-        for row in self.rows:
-            w.writerow([str(x) for x in row])
-        return buf.getvalue()
+        return self.to_text(",")
 
-    def to_text(self) -> str:
-        lines = ["\t".join(self.COLUMNS)]
-        lines += ["\t".join(str(x) for x in row) for row in self.rows]
-        return "\n".join(lines) + "\n"
+    def to_text(self, sep: str = "\t") -> str:
+        """Header line, then one line per row.  No value contains a comma,
+        so the CSV form needs no quoting."""
+        return "".join(sep.join(str(x) for x in line) + "\n"
+                       for line in [self.columns, *self.rows])
+
+
+MULT_COLUMNS = ("coset", "m", "n", "norm", "pairing_divisor",
+                "mult_even", "mult_odd", "source")
 
 
 def build_mult_table(tc: TwistClass, max_height: int,
-                     max_norm=None) -> MultTable:
+                     max_norm=None) -> Table:
     """Evaluate both multiplicity formulas on the cone slice and compare.
 
     Any disagreement, non-integrality, parity asymmetry or support off L is
@@ -250,4 +246,4 @@ def build_mult_table(tc: TwistClass, max_height: int,
         rows.append((label, p.m, p.n, norm,
                      tc.lorentzian.pairing_divisor(p), even, odd,
                      "theorem1=closed"))
-    return MultTable(tc.order, rows)
+    return Table(MULT_COLUMNS, rows, {"order": tc.order})

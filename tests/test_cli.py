@@ -42,6 +42,11 @@ class TestExitCodes:
         code, _, _ = run(capsys, "verify", "nonexistent_target")
         assert code == 2
 
+    def test_verify_has_no_csv(self, capsys):
+        code, out, err = run(capsys, "verify", "lattice", "--order", "3",
+                             "--format", "csv")
+        assert code == 2 and out == "" and "invalid choice" in err
+
     def test_spin_order3_all_pass(self, capsys):
         code, out, _ = run(capsys, "verify", "spin", "--order", "3")
         assert code == 0
@@ -191,6 +196,20 @@ class TestConfigAndOut:
                            "--config", str(tmp_path / "absent.ini"))
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("text", [
+        "order = abc\n",
+        "order = 3\norder = 7\n",
+        "colour = blue\n",
+        "format = xml\n",
+    ], ids=["non-integer", "duplicate-key", "unknown-key", "bad-choice"])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, text):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(text)
+        code, out, err = run(capsys, "verify", "lattice",
+                             "--config", str(cfgfile))
+        assert code == 2 and out == ""
+        assert "error:" in err and "usage:" in err
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run(capsys, "verify", "lattice", "--order", "3",
@@ -199,3 +218,132 @@ class TestConfigAndOut:
         assert out == ""
         report = json.loads(target.read_text())
         assert report["status"] == "pass"
+
+
+# stdout of each call, byte for byte; recorded before argparse took over
+# the config defaults and one Table came to render both multiplicity tables
+PINNED_OUTPUT = [
+    ("table mult --order 7 --height 2 --format text",
+        "coset\tm\tn\tnorm\tpairing_divisor\tmult_even\tmult_odd\tsource\n"
+        "0+0\t0\t1\t0\t1\t1\t1\ttheorem1=closed\n"
+        "0+0\t1\t0\t0\t1\t1\t1\ttheorem1=closed\n"
+        "0+0\t0\t2\t0\t2\t1\t1\ttheorem1=closed\n"
+        "0+0\t1\t1\t-2\t1\t2\t2\ttheorem1=closed\n"
+        "0+6\t1\t1\t-12/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+1\t1\t1\t-12/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+3\t1\t1\t-10/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+4\t1\t1\t-10/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+3\t1\t1\t-10/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+4\t1\t1\t-10/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+2\t1\t1\t-6/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+5\t1\t1\t-6/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+5\t1\t1\t-6/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+2\t1\t1\t-6/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+2\t1\t1\t-6/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+5\t1\t1\t-6/7\t1\t0\t0\ttheorem1=closed\n"
+        "0+0\t1\t1\t0\t1\t1\t1\ttheorem1=closed\n"
+        "0+0\t1\t1\t0\t1\t1\t1\ttheorem1=closed\n"
+        "0+0\t2\t0\t0\t2\t1\t1\ttheorem1=closed\n"),
+    ("table mult --order 7 --height 2 --format csv",
+        "coset,m,n,norm,pairing_divisor,mult_even,mult_odd,source\n"
+        "0+0,0,1,0,1,1,1,theorem1=closed\n"
+        "0+0,1,0,0,1,1,1,theorem1=closed\n"
+        "0+0,0,2,0,2,1,1,theorem1=closed\n"
+        "0+0,1,1,-2,1,2,2,theorem1=closed\n"
+        "0+6,1,1,-12/7,1,0,0,theorem1=closed\n"
+        "0+1,1,1,-12/7,1,0,0,theorem1=closed\n"
+        "0+3,1,1,-10/7,1,0,0,theorem1=closed\n"
+        "0+4,1,1,-10/7,1,0,0,theorem1=closed\n"
+        "0+3,1,1,-10/7,1,0,0,theorem1=closed\n"
+        "0+4,1,1,-10/7,1,0,0,theorem1=closed\n"
+        "0+2,1,1,-6/7,1,0,0,theorem1=closed\n"
+        "0+5,1,1,-6/7,1,0,0,theorem1=closed\n"
+        "0+5,1,1,-6/7,1,0,0,theorem1=closed\n"
+        "0+2,1,1,-6/7,1,0,0,theorem1=closed\n"
+        "0+2,1,1,-6/7,1,0,0,theorem1=closed\n"
+        "0+5,1,1,-6/7,1,0,0,theorem1=closed\n"
+        "0+0,1,1,0,1,1,1,theorem1=closed\n"
+        "0+0,1,1,0,1,1,1,theorem1=closed\n"
+        "0+0,2,0,0,2,1,1,theorem1=closed\n"),
+    ("table mult --order 7 --height 2 --format json",
+        '{"columns":["coset","m","n","norm","pairing_divisor",'
+        '"mult_even","mult_odd","source"],"order":7,"rows":[["0+0","0",'
+        '"1","0","1","1","1","theorem1=closed"],["0+0","1","0","0","1",'
+        '"1","1","theorem1=closed"],["0+0","0","2","0","2","1","1",'
+        '"theorem1=closed"],["0+0","1","1","-2","1","2","2",'
+        '"theorem1=closed"],["0+6","1","1","-12/7","1","0","0",'
+        '"theorem1=closed"],["0+1","1","1","-12/7","1","0","0",'
+        '"theorem1=closed"],["0+3","1","1","-10/7","1","0","0",'
+        '"theorem1=closed"],["0+4","1","1","-10/7","1","0","0",'
+        '"theorem1=closed"],["0+3","1","1","-10/7","1","0","0",'
+        '"theorem1=closed"],["0+4","1","1","-10/7","1","0","0",'
+        '"theorem1=closed"],["0+2","1","1","-6/7","1","0","0",'
+        '"theorem1=closed"],["0+5","1","1","-6/7","1","0","0",'
+        '"theorem1=closed"],["0+5","1","1","-6/7","1","0","0",'
+        '"theorem1=closed"],["0+2","1","1","-6/7","1","0","0",'
+        '"theorem1=closed"],["0+2","1","1","-6/7","1","0","0",'
+        '"theorem1=closed"],["0+5","1","1","-6/7","1","0","0",'
+        '"theorem1=closed"],["0+0","1","1","0","1","1","1",'
+        '"theorem1=closed"],["0+0","1","1","0","1","1","1",'
+        '"theorem1=closed"],["0+0","2","0","0","2","1","1",'
+        '"theorem1=closed"]]}\n'),
+    ("table simple_roots --order 7 --height 8 --format text",
+        "k\tmult_even\tmult_odd\n"
+        "1\t1\t1\n"
+        "2\t1\t1\n"
+        "3\t1\t1\n"
+        "4\t1\t1\n"
+        "5\t1\t1\n"
+        "6\t1\t1\n"
+        "7\t2\t2\n"
+        "8\t1\t1\n"),
+    ("table simple_roots --order 7 --height 8 --format csv",
+        "k,mult_even,mult_odd\n"
+        "1,1,1\n"
+        "2,1,1\n"
+        "3,1,1\n"
+        "4,1,1\n"
+        "5,1,1\n"
+        "6,1,1\n"
+        "7,2,2\n"
+        "8,1,1\n"),
+    ("table simple_roots --order 7 --height 8 --format json",
+        '{"columns":["k","mult_even","mult_odd"],"order":"7",'
+        '"rows":[["1","1","1"],["2","1","1"],["3","1","1"],["4","1","1"],'
+        '["5","1","1"],["6","1","1"],["7","2","2"],["8","1","1"]]}\n'),
+    ("dump c3 --prec 3 --format text",
+        "0\t2\n"
+        "1\t8\n"
+        "2\t24\n"),
+    ("dump c3 --prec 3 --format csv",
+        "exponent,coefficient\n"
+        "0,2\n"
+        "1,8\n"
+        "2,24\n"),
+    ("dump c3 --prec 3 --format json",
+        '{"prec":"3","series":"c3","terms":[["0","2"],["1","8"],["2",'
+        '"24"]]}\n'),
+    ("verify lattice --order 3",
+        "pass  fixed_rank\n"
+        "pass  fixed_det\n"
+        "pass  fixed_level\n"
+        "pass  discriminant_group\n"
+        "pass  fixed_even\n"
+        "pass  complement_root_count\n"
+        "pass  complement_det\n"
+        "pass  n_dual_inside_lattice\n"
+        "status: pass\n"),
+]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("argv,expected", PINNED_OUTPUT,
+                             ids=[a for a, _ in PINNED_OUTPUT])
+    def test_output_bytes(self, capsys, argv, expected):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (0, expected, "")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: superdenom")

@@ -6,7 +6,7 @@ import pytest
 
 from superdenom.arith import mobius
 from superdenom.lattices import LorentzianPoint, enumerate_coset
-from superdenom.mult import (MultTable, TwistClass, UnsupportedTwistOrder,
+from superdenom.mult import (MULT_COLUMNS, TwistClass, UnsupportedTwistOrder,
                              build_mult_table, mult_closed, mult_theorem1,
                              simple_root_mult, trace_term)
 
@@ -182,7 +182,7 @@ class TestMultTable:
         import json
         table = build_mult_table(tc3, 2)
         parsed = json.loads(table.to_json())
-        assert parsed["columns"] == list(MultTable.COLUMNS)
+        assert parsed["columns"] == list(MULT_COLUMNS)
         assert len(parsed["rows"]) == len(table)
         csv_text = table.to_csv()
-        assert csv_text.splitlines()[0] == ",".join(MultTable.COLUMNS)
+        assert csv_text.splitlines()[0] == ",".join(MULT_COLUMNS)
