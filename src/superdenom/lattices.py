@@ -44,6 +44,7 @@ class IntegralLattice:
         if gram is None:
             gram = [[_dot(u, v) for v in self.basis] for u in self.basis]
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        self._gram_inv = None
         for i in range(self.rank):
             for j in range(self.rank):
                 if self.gram[i][j] != _dot(self.basis[i], self.basis[j]):
@@ -64,12 +65,14 @@ class IntegralLattice:
         return [[int(x) for x in row] for row in self.gram]
 
     def gram_inv(self):
-        if self.rank == 0:
-            return []
-        g = det([list(r) for r in self.gram])
-        if g == 0:
-            raise SingularGram("degenerate Gram matrix")
-        return mat_inv([list(r) for r in self.gram])
+        """Inverse Gram matrix as a tuple of row tuples, computed once."""
+        if self._gram_inv is None:
+            try:
+                inv = mat_inv(self.gram)
+            except ZeroDivisionError:
+                raise SingularGram("degenerate Gram matrix") from None
+            self._gram_inv = tuple(tuple(row) for row in inv)
+        return self._gram_inv
 
     # -- coordinates -----------------------------------------------------
 
@@ -157,28 +160,6 @@ class DiscriminantGroup:
                 for i in range(len(v)):
                     v[i] -= q * row[i]
         return tuple(v)
-
-    def coset_representatives(self):
-        """All coset labels with a minimal-norm dual vector for each.
-
-        Returned sorted by (norm, label); found by enumerating dual vectors
-        of increasing norm.
-        """
-        if self.lattice.rank == 0 or self.order == 1:
-            return {(0,) * self.lattice.rank: (0,) * self.lattice.rank} \
-                if self.lattice.rank else {(): ()}
-        dual = self.lattice.dual()
-        found: dict[tuple, tuple] = {}
-        bound = 2
-        for _ in range(20):
-            for coords in enumerate_coset(dual, None, Fraction(bound)):
-                lab = self.coset_label(coords)
-                if lab not in found:
-                    found[lab] = coords
-            if len(found) == self.order:
-                return found
-            bound *= 2
-        raise SearchExhausted("could not reach every discriminant coset")
 
 
 # ----------------------------------------------------------------------
@@ -348,27 +329,22 @@ def fixed_sublattice(m, lattice: IntegralLattice) -> IntegralLattice:
     return IntegralLattice(basis)
 
 
+def _pairings(container: IntegralLattice, sub: IntegralLattice):
+    """Integer matrix W with W[i][j] = (container basis i, sub basis j)."""
+    w = [[_dot(b, s) for s in sub.basis] for b in container.basis]
+    if any(Fraction(x).denominator != 1 for row in w for x in row):
+        raise ValueError("pairings must be integral")
+    return [[int(x) for x in row] for row in w]
+
+
 def orthogonal_complement(sub: IntegralLattice,
                           container: IntegralLattice) -> IntegralLattice:
     """All container vectors orthogonal to the sublattice, as a lattice."""
     if sub.rank == 0:
         return container
-    w = [[_dot(b, s) for s in sub.basis] for b in container.basis]
-    wi = [[int(x) for x in row] for row in w]
-    if any(Fraction(x).denominator != 1 for row in w for x in row):
-        raise ValueError("pairings must be integral")
-    kernel = left_kernel_basis(wi)
+    kernel = left_kernel_basis(_pairings(container, sub))
     basis = [container.vector(c) for c in kernel]
     return IntegralLattice(basis)
-
-
-def projection_coords(fixed: IntegralLattice, v) -> tuple:
-    """Dual-basis coordinates of the orthogonal projection of v onto span(fixed).
-
-    The i-th coordinate is the pairing of v with the i-th basis vector, so
-    for v in a lattice containing `fixed` primitively these are integers.
-    """
-    return tuple(_dot(b, tuple(Fraction(x) for x in v)) for b in fixed.basis)
 
 
 def build_coset_shift_table(fixed: IntegralLattice,
@@ -377,23 +353,25 @@ def build_coset_shift_table(fixed: IntegralLattice,
     """For each coset of fixed*/fixed, a complement shift r-perp.
 
     Finds container vectors x with projection onto span(fixed) in the coset,
-    and records x - proj(x); the result depends only on the coset.
+    and records x - proj(x); the result depends only on the coset.  The
+    projection of x = sum_i c_i b_i has dual coordinates c.W, W the integer
+    pairings of the container basis with the fixed basis.
     """
     dual = fixed.dual()
+    w = _pairings(container, fixed)
+    cols = list(zip(*w))
     table: dict[tuple, tuple] = {}
     bound = 2
     for _ in range(8):
         for coords in enumerate_coset(container, None, Fraction(bound)):
-            x = container.vector(coords)
-            p = projection_coords(fixed, x)
-            if any(c.denominator != 1 for c in p):
-                raise ValueError("projection has non-integral dual coordinates")
+            p = tuple(_dot(coords, col) for col in cols)
             lab = disc.coset_label(p)
             if lab not in table:
+                x = container.vector(coords)
                 proj = dual.vector(p)
                 table[lab] = tuple(a - b for a, b in zip(x, proj))
-        if len(table) == disc.order or (disc.order == 1 and table):
-            return table
+                if len(table) == disc.order:
+                    return table
         bound *= 2
     raise SearchExhausted("projection did not reach every discriminant coset")
 

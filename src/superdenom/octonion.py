@@ -7,6 +7,9 @@ a_ijk = 1 on the triples 123, 154, 264, 374, 176, 257, 365.
 A spin element is a list of Clifford factors b_1..b_n; its three induced
 8x8 matrices (vector, spinor, conjugate spinor) are exact rationals,
 normalized by the unique positive scalar making them orthogonal.
+
+Every coordinate and matrix entry is exact: an integral value is stored as
+an int and any other value as a Fraction, never as a float.
 """
 
 from __future__ import annotations
@@ -50,11 +53,17 @@ def _build_table():
 
 _TABLE = _build_table()
 
-Octonion = tuple  # 8-tuple of Fractions
+Octonion = tuple  # 8-tuple of ints and Fractions (ints when integral)
+
+
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def octonion(coords) -> Octonion:
-    coords = tuple(Fraction(c) for c in coords)
+    coords = tuple(_exact(c) for c in coords)
     if len(coords) != 8:
         raise ValueError("an octonion has 8 coordinates")
     return coords
@@ -65,7 +74,7 @@ def basis_octonion(i: int) -> Octonion:
 
 
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
-    out = [Fraction(0)] * 8
+    out = [0] * 8
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -96,15 +105,14 @@ def mat_vec8(a, v):
 
 def mat_scale8(a, c):
     c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+    return tuple(tuple(_exact(c * x) for x in row) for row in a)
 
 
 def mat_identity8():
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(8))
-                 for i in range(8))
+    return tuple(tuple(int(i == j) for j in range(8)) for i in range(8))
 
 
-def mat_trace8(a) -> Fraction:
+def mat_trace8(a):
     return sum(a[i][i] for i in range(8))
 
 
@@ -211,30 +219,33 @@ REFERENCE_ACTIONS = {
 
 def permutation_matrix(perm: dict):
     """8x8 matrix sending e_i to e_{perm[i]}."""
-    return tuple(tuple(Fraction(1 if perm[j] == i else 0) for j in range(8))
-                 for i in range(8))
+    return tuple(tuple(int(perm[j] == i) for j in range(8)) for i in range(8))
 
 
-def matrix_order(m, cap: int = 64) -> int:
+def _power_traces(m, cap: int) -> list:
+    """[tr(m), ..., tr(m^k)] for the least k <= cap with m^k = I."""
     ident = mat_identity8()
+    traces = []
     p = m
-    for k in range(1, cap + 1):
+    for _ in range(cap):
+        traces.append(mat_trace8(p))
         if p == ident:
-            return k
+            return traces
         p = mat_mul8(p, m)
     raise OrderExceedsCap(f"order exceeds cap {cap}")
 
 
-def _char_poly(m) -> list[Fraction]:
+def matrix_order(m, cap: int = 64) -> int:
+    return len(_power_traces(m, cap))
+
+
+def _char_poly(traces) -> list[Fraction]:
     """Characteristic polynomial coefficients [1, -e1, e2, ...] of x^8-...
 
-    Computed from power traces via the Newton identities.
+    Computed via the Newton identities from the power traces of a matrix m
+    with m^k = I, k = len(traces), so tr(m^j) = traces[(j - 1) % k].
     """
-    p = []
-    mk = m
-    for _ in range(8):
-        p.append(mat_trace8(mk))
-        mk = mat_mul8(mk, m)
+    p = [traces[j % len(traces)] for j in range(8)]
     e = [Fraction(1)]
     for k in range(1, 9):
         s = Fraction(0)
@@ -258,17 +269,11 @@ def cycle_shape(m, cap: int = 64) -> CycleShape:
     Inverts tr(M^d) = sum_{a|d} a*b_a over the divisors of the order, then
     validates against the characteristic polynomial.
     """
-    order = matrix_order(m, cap)
-    traces = {}
-    mk = m
-    for d in range(1, order + 1):
-        if order % d == 0:
-            traces[d] = mat_trace8(mk)
-        mk = mat_mul8(mk, m)
+    traces = _power_traces(m, cap)
     b = {}
-    for a in divisors(order):
-        s = sum(mobius(a // d) * traces[d] for d in divisors(a))
-        ba = s / a
+    for a in divisors(len(traces)):
+        s = sum(mobius(a // d) * traces[d - 1] for d in divisors(a))
+        ba = Fraction(s, a)
         if ba.denominator != 1 or ba < 0:
             raise NotProductOfCyclotomicBlocks(
                 f"trace inversion gives non-integral multiplicity at {a}")
@@ -281,7 +286,7 @@ def cycle_shape(m, cap: int = 64) -> CycleShape:
         block = [Fraction(1)] + [Fraction(0)] * (a - 1) + [Fraction(-1)]
         for _ in range(ba):
             target = _poly_mul(target, block)
-    if target != _char_poly(m) or shape.weight != 8:
+    if target != _char_poly(traces) or shape.weight != 8:
         raise NotProductOfCyclotomicBlocks(
             "characteristic polynomial is not a product of x^a - 1 blocks")
     return shape

@@ -108,10 +108,6 @@ class QSeries:
     # ------------------------------------------------------------------
     # basic queries
 
-    def is_zero(self) -> bool:
-        """True if no nonzero coefficient is known (below trunc)."""
-        return not self.terms
-
     def valuation(self) -> Fraction | None:
         """Smallest exponent with nonzero coefficient; None if none known."""
         if not self.terms:
@@ -297,10 +293,6 @@ class QSeries:
             raise ValueError("restrict cannot extend the known range")
         return QSeries(self.expdenom, dict(self.terms), t)
 
-    def shift(self, exp) -> "QSeries":
-        """Multiply by the monomial q^exp."""
-        return self * QSeries.monomial(exp)
-
     # ------------------------------------------------------------------
     # comparison and output
 
@@ -316,20 +308,12 @@ class QSeries:
                 f"no known coefficients below common trunc {T}")
         return a == b
 
-    def __ne__(self, other) -> bool:
-        return not self.__eq__(other)
-
     def first_difference(self, other) -> Fraction | None:
         """Smallest exponent in the common known range where the two differ."""
         other = QSeries._promote(other)
         diff = self - other
         v = diff.valuation()
         return v
-
-    def coefficients(self, start, count: int, step=1) -> list[Fraction]:
-        """count coefficients at start, start+step, ... (for dumps/tests)."""
-        s, st = _as_fraction(start), _as_fraction(step)
-        return [self.coeff(s + i * st) for i in range(count)]
 
     def to_pairs(self) -> list[tuple[str, str]]:
         """Serialization: sorted (exponent, coefficient) as exact strings."""

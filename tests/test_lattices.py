@@ -9,10 +9,11 @@ from superdenom.intlinalg import (det, hnf, hnf_with_transform,
                                   left_kernel_basis, mat_inv, mat_mul,
                                   mat_vec, snf_invariants)
 from superdenom.lattices import (IntegralLattice, LorentzianLattice,
-                                 LorentzianPoint, build_coset_shift_table,
-                                 e8_lattice, enumerate_coset,
-                                 fixed_sublattice, orthogonal_complement,
-                                 preserves_lattice, theta_coset)
+                                 LorentzianPoint, SingularGram,
+                                 build_coset_shift_table, e8_lattice,
+                                 enumerate_coset, fixed_sublattice,
+                                 orthogonal_complement, preserves_lattice,
+                                 theta_coset)
 from superdenom.mult import TwistClass
 from superdenom.octonion import build_twist_element, rho_V
 from superdenom.series import QSeries
@@ -113,6 +114,17 @@ class TestFixedLattices:
         # the zero coset has the zero shift
         zero = dg.coset_label((0,) * f.rank)
         assert all(x == 0 for x in table[zero])
+
+    def test_degenerate_gram(self):
+        lat = IntegralLattice([[1, 0], [2, 0]])
+        with pytest.raises(SingularGram):
+            lat.gram_inv()
+
+    def test_non_integral_pairings(self):
+        container = IntegralLattice([[1, 0]])
+        sub = IntegralLattice([[F(1, 2), 0]])
+        with pytest.raises(ValueError, match="pairings must be integral"):
+            orthogonal_complement(sub, container)
 
     def test_dual_of_dual(self):
         f = fixed_sublattice(rho_V(build_twist_element(3)), e8_lattice())
@@ -318,3 +330,47 @@ class TestIntegerCoreOracles:
             ref = _ref_theta(tc.complement, shift, F(6))
             assert th.terms and (th.expdenom, th.terms, th.trunc) == \
                 (ref.expdenom, ref.terms, ref.trunc), shift
+
+
+def _ref_shift_table(fixed, container, disc):
+    """Shift table from the Fraction pairings of each enumerated ambient
+    vector with the fixed basis."""
+    dual = fixed.dual()
+    table = {}
+    bound = 2
+    for _ in range(8):
+        for coords in enumerate_coset(container, None, F(bound)):
+            x = container.vector(coords)
+            p = tuple(_dot(b, x) for b in fixed.basis)
+            assert all(c.denominator == 1 for c in p)
+            lab = disc.coset_label(p)
+            if lab not in table:
+                table[lab] = tuple(a - b for a, b in zip(x, dual.vector(p)))
+        if len(table) == disc.order:
+            return table
+        bound *= 2
+    raise AssertionError("reference did not reach every coset")
+
+
+class TestSetupOracles:
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_shift_table(self, twists, order):
+        tc = twists[order]
+        ref = _ref_shift_table(tc.fixed, tc.e8, tc.disc)
+        assert len(ref) == tc.disc.order
+        assert tc.shift_table == ref
+        assert build_coset_shift_table(tc.fixed, tc.e8, tc.disc) == ref
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_gram_inv(self, twists, order):
+        tc = twists[order]
+        for lat in (tc.e8, tc.fixed, tc.complement, tc.lorentzian.dual,
+                    tc.fixed.dual()):
+            ref = mat_inv([list(r) for r in lat.gram])
+            assert [list(r) for r in lat.gram_inv()] == ref
+
+    def test_gram_inv_is_computed_once(self, twists):
+        lat = twists[7].fixed
+        gi = lat.gram_inv()
+        assert lat.gram_inv() is gi
+        assert type(gi) is tuple and all(type(r) is tuple for r in gi)
