@@ -116,19 +116,18 @@ def verify_spin(cfg):
     rr = octonion.rho_R(u)
     expected = octonion.permutation_matrix(
         octonion.REFERENCE_ACTIONS[cfg.order])
-    shapes = {1: "1^8", 3: "1^23^2", 7: "1^17^1"}
+    shape = {1: "1^8", 3: "1^23^2", 7: "1^17^1"}[cfg.order]
+    order = octonion.matrix_order(rv)
+    shape_v = octonion.cycle_shape(rv).label()
+    shape_l = octonion.cycle_shape(rl).label()
     checks = [
         check("vector_action_matches_table", rv == expected,
               location="rho_V", expected="reference permutation",
               got="different matrix"),
-        check("matrix_order", octonion.matrix_order(rv) == cfg.order,
-              expected=cfg.order, got=octonion.matrix_order(rv)),
-        check("cycle_shape_V",
-              octonion.cycle_shape(rv).label() == shapes[cfg.order],
-              expected=shapes[cfg.order], got=octonion.cycle_shape(rv).label()),
-        check("cycle_shape_L",
-              octonion.cycle_shape(rl).label() == shapes[cfg.order],
-              expected=shapes[cfg.order], got=octonion.cycle_shape(rl).label()),
+        check("matrix_order", order == cfg.order,
+              expected=cfg.order, got=order),
+        check("cycle_shape_V", shape_v == shape, expected=shape, got=shape_v),
+        check("cycle_shape_L", shape_l == shape, expected=shape, got=shape_l),
         check("spinor_traces_equal",
               octonion.mat_trace8(rl) == octonion.mat_trace8(rr),
               expected=octonion.mat_trace8(rl), got=octonion.mat_trace8(rr)),

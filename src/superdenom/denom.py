@@ -1,21 +1,30 @@
 """Lattice-graded expansion of the (twisted) denominator identities.
 
-The product side is a product over positive-cone points alpha of
+The product side F is a product over positive-cone points alpha of
 (1 - e^alpha)^mult_even / (1 + e^alpha)^mult_odd, truncated by the height
-h(alpha) = m + n.  The accumulator is bucketed by height, and inside a bucket
-a point (r*; m, n) is one integer: r* and m packed as fixed-width signed
-digits (Kronecker substitution), so adding two points is adding two ints, and
-n = h - m comes from the bucket.  A factor is multiplied in place, walking
-the target height down from H so that every bucket it reads still holds the
-old product.  A factor of height h reads only buckets of height <= H - h;
-factors are processed in increasing height, which makes the many high-height
-factors O(1) each.  All coefficients are exact integers.
+h(alpha) = m + n.  Series are bucketed by height, and inside a bucket a point
+(r*; m, n) is one integer: r* and m packed as fixed-width signed digits
+(Kronecker substitution), so adding two points is adding two ints, and
+n = h - m comes from the bucket.
+
+F is the exponential of its log derivative.  With theta the height grading,
+theta e^beta = h(beta) e^beta, theta log of one factor is
+sum_k h(alpha) (-mult_even - (-1)^(k+1) mult_odd) e^(k alpha), and the key
+of k alpha is k times the key of alpha, since packing is linear.  So
+L = theta log F is one pass over the factor list with no series products,
+and F comes back from L by Miller's recurrence t F_t = sum_j L_j F_(t-j),
+whose division by t is exact.  All coefficients are exact integers.
+
+The factor-by-factor in-place accumulator (accumulated_product) computes the
+same F another way; it is kept as the independent cross-check and is not on
+the verifier's path.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 
 from .mult import TwistClass, mult_closed
@@ -150,7 +159,7 @@ class LatticeSeries:
             out.extend((self.key_of(h, code), b[code]) for code in sorted(b))
         return out
 
-    # -- products --------------------------------------------------------
+    # -- products (the accumulator of accumulated_product) ----------------
 
     def mul_factor(self, powers):
         """In-place multiply by 1 + sum_k c_k e^{k*alpha}.
@@ -174,7 +183,7 @@ class LatticeSeries:
                     _shift_add(dst, buckets[t - h], code, c)
 
     def mul_series(self, other: "LatticeSeries") -> "LatticeSeries":
-        """Truncated product of two series (used to merge partial products)."""
+        """Truncated product of two series."""
         H = min(self.max_height, other.max_height)
         out = LatticeSeries(H, self.rank)
         for h1 in range(H + 1):
@@ -191,7 +200,85 @@ class LatticeSeries:
 
 
 # ----------------------------------------------------------------------
-# factor expansion
+# the product as exp of its log derivative
+
+def log_derivative(factors, max_height: int, rank: int) -> LatticeSeries:
+    """L = theta log of the product of (point, m_even, m_odd) factors.
+
+    One pass: factor alpha of height h adds h*(-m_even - (-1)^(k+1) m_odd)
+    at k*alpha for every k <= max_height // h.  k*alpha is the sum of k
+    copies of alpha, so its digits fit wherever alpha's do.
+    """
+    L = LatticeSeries(max_height, rank)
+    buckets = L.buckets
+    for p, me, mo in factors:
+        h = p.height
+        if h < 1:
+            raise ValueError("factor point must have positive height")
+        if me < 0 or mo < 0:
+            raise ValueError("multiplicities must be nonnegative")
+        code = L.pack(p.rcoords, p.m)
+        odd, even = -h * (me + mo), h * (mo - me)
+        for k in range(1, max_height // h + 1):
+            c = odd if k & 1 else even
+            if c:
+                b, key = buckets[k * h], k * code
+                v = b.get(key, 0) + c
+                if v:
+                    b[key] = v
+                else:
+                    del b[key]
+    return L
+
+
+def exponential(L: LatticeSeries) -> LatticeSeries:
+    """The series F with F_0 = 1 and theta log F = L (L's bucket 0 unread).
+
+    Miller's recurrence t F_t = sum_{j=1..t} L_j F_(t-j), each product
+    summed from the smaller of its two buckets.  F has integer coefficients
+    exactly when every division by t is exact; ArithmeticError otherwise.
+    """
+    F = LatticeSeries.one(L.max_height, L.rank)
+    for t in range(1, L.max_height + 1):
+        acc: dict[int, int] = {}
+        for j in range(1, t + 1):
+            small, big = L.buckets[j], F.buckets[t - j]
+            if len(small) > len(big):
+                small, big = big, small
+            for code, c in small.items():
+                _shift_add(acc, big, code, c)
+        bucket = F.buckets[t]
+        for code, v in acc.items():
+            q, r = divmod(v, t)
+            if r:
+                raise ArithmeticError(
+                    f"L is not theta log of an integer series: remainder "
+                    f"at height {t}")
+            bucket[code] = q
+    return F
+
+
+def expand_product(factors, max_height: int, rank: int,
+                   jobs: int = 1) -> LatticeSeries:
+    """The product of the factors, truncated by height.
+
+    jobs deals the factor list round-robin into that many chunks whose log
+    derivatives are summed, one after another in this process, before the
+    one exponential; nothing runs in parallel, and the result is the same
+    for every chunk count.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    L = log_derivative(factors[::jobs], max_height, rank)
+    for i in range(1, jobs):
+        part = log_derivative(factors[i::jobs], max_height, rank)
+        for dst, src in zip(L.buckets, part.buckets):
+            _shift_add(dst, src, 0, 1)
+    return exponential(L)
+
+
+# ----------------------------------------------------------------------
+# the cross-check: one factor at a time into an in-place accumulator
 
 _factor_cache: dict[tuple[int, int, int], tuple[int, ...]] = {}
 
@@ -230,6 +317,31 @@ def expand_factor(alpha: LorentzianPoint, m_even: int, m_odd: int,
             for k, c in enumerate(coeffs) if c]
 
 
+def accumulated_product(factors, max_height: int, rank: int,
+                        jobs: int = 1) -> LatticeSeries:
+    """expand_product computed by series products instead of exp/log.
+
+    The height-sorted factors are dealt round-robin into jobs chunks, each
+    multiplied factor by factor into its own accumulator (mul_factor), and
+    the partial products are merged by truncated multiplication
+    (mul_series).  The verifier does not run this; the tests compare it
+    with expand_product.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
+    factors = sorted(factors,
+                     key=lambda t: (t[0].height, t[0].m, t[0].rcoords, t[2]))
+    result = None
+    for i in range(jobs):
+        acc = LatticeSeries.one(max_height, rank)
+        for p, me, mo in factors[i::jobs]:
+            powers = expand_factor(p, me, mo, max_height)
+            if powers:
+                acc.mul_factor(powers)
+        result = acc if result is None else result.mul_series(acc)
+    return result
+
+
 # ----------------------------------------------------------------------
 # the two sides
 
@@ -240,61 +352,56 @@ def _factor_list(tc: TwistClass, max_height: int, form: str):
     form "split": the two-product shape of the order-3/7 identities — a
     factor with exponent c(-a^2/2) over L^+ and another with c(-a^2/2N)
     over L^+ intersect N L*.  Both lists expand to the same product.
+    Order 1 has a single product, and takes the theorem1 form.
     """
+    if form not in ("theorem1", "split"):
+        raise ValueError(f"unknown product form {form!r}")
     lor = tc.lorentzian
+    N, D = tc.order, lor.exponent
+    closed = form == "theorem1" or N == 1
     factors = []
-    member: dict[tuple, bool] = {}  # r* -> in_lattice; (m, n) plays no part
+    # r* -> in_lattice, and r* -> D r*^2 on L; (m, n) plays no part
+    member: dict[tuple, bool] = {}
+    scaled: dict[tuple, int] = {}
+    cs: dict[tuple[int, int], int] = {}  # (num, den) -> c(num/den)
+
+    def c_at(num: int, den: int) -> int:
+        c = cs.get((num, den))
+        if c is None:
+            c = cs[num, den] = int(tc.c_coeff(Fraction(num, den)))
+        return c
+
     for p in lor.positive_cone_enum(max_height):
         inside = member.get(p.rcoords)
         if inside is None:
             inside = member[p.rcoords] = lor.in_lattice(p)
         if not inside:
             continue  # multiplicities vanish off L
-        if form == "theorem1" or tc.order == 1:
+        if closed:
             me, mo = mult_closed(tc, p)
             if me or mo:
                 factors.append((p, int(me), int(mo)))
-        elif form == "split":
-            n2 = -lor.norm(p)
-            c1 = tc.c_coeff(n2 / 2)
-            if c1:
-                factors.append((p, int(c1), int(c1)))
-            if lor.in_n_dual(p, tc.order):
-                c2 = tc.c_coeff(n2 / (2 * tc.order))
-                if c2:
-                    factors.append((p, int(c2), int(c2)))
-        else:
-            raise ValueError(f"unknown product form {form!r}")
+            continue
+        q = scaled.get(p.rcoords)
+        if q is None:
+            q = scaled[p.rcoords] = lor.rstar_norm_scaled(p.rcoords)
+        x = 2 * p.m * p.n * D - q  # D * (-alpha^2)
+        c1 = c_at(x, 2 * D)
+        if c1:
+            factors.append((p, c1, c1))
+        if lor.in_n_dual(p, N):
+            c2 = c_at(x, 2 * D * N)
+            if c2:
+                factors.append((p, c2, c2))
     return factors
 
 
 def product_side(tc: TwistClass, max_height: int, jobs: int = 1,
                  form: str = "split") -> LatticeSeries:
-    """Expand the product over the positive cone, truncated by height.
-
-    jobs deals the height-sorted factor list round-robin into that many
-    chunks.  Each chunk is multiplied into its own accumulator, one chunk
-    after another in this process (there is no parallelism), and the partial
-    products are then merged by truncated multiplication (mul_series).  The
-    result is identical for every chunk count.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    factors = _factor_list(tc, max_height, form)
-    factors.sort(key=lambda t: (t[0].height, t[0].m, t[0].rcoords, t[2]))
-    chunks = [factors[i::jobs] for i in range(jobs)] if jobs > 1 else [factors]
-    partials = []
-    for chunk in chunks:
-        acc = LatticeSeries.one(max_height, tc.fixed.rank)
-        for p, me, mo in chunk:
-            powers = expand_factor(p, me, mo, max_height)
-            if powers:
-                acc.mul_factor(powers)
-        partials.append(acc)
-    result = partials[0]
-    for other in partials[1:]:
-        result = result.mul_series(other)
-    return result
+    """The product over the positive cone, truncated by height: the factor
+    list, expanded by expand_product (jobs chunks)."""
+    return expand_product(_factor_list(tc, max_height, form), max_height,
+                          tc.fixed.rank, jobs)
 
 
 def sum_side(tc: TwistClass, max_height: int) -> LatticeSeries:
@@ -359,7 +466,7 @@ def verify_identity(order: int, max_height: int, jobs: int = 1,
     if tc is None:
         tc = TwistClass(order)
     factors = _factor_list(tc, max_height, form)
-    prod = product_side(tc, max_height, jobs=jobs, form=form)
+    prod = expand_product(factors, max_height, tc.fixed.rank, jobs)
     sums = sum_side(tc, max_height)
     first = None
     for h, (pb, sb) in enumerate(zip(prod.buckets, sums.buckets)):

@@ -45,6 +45,7 @@ class IntegralLattice:
             gram = [[_dot(u, v) for v in self.basis] for u in self.basis]
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self._gram_inv = None
+        self._dual = None
         for i in range(self.rank):
             for j in range(self.rank):
                 if self.gram[i][j] != _dot(self.basis[i], self.basis[j]):
@@ -106,12 +107,15 @@ class IntegralLattice:
     # -- derived lattices ------------------------------------------------
 
     def dual(self) -> "IntegralLattice":
-        """Dual lattice; its Gram is the inverse Gram."""
-        if self.rank == 0:
-            return IntegralLattice(())
-        gi = self.gram_inv()
-        dual_basis = mat_mul(gi, [list(r) for r in self.basis])
-        return IntegralLattice(dual_basis, gi)
+        """Dual lattice, built once; its Gram is the inverse Gram."""
+        if self._dual is None:
+            if self.rank == 0:
+                self._dual = IntegralLattice(())
+            else:
+                gi = self.gram_inv()
+                self._dual = IntegralLattice(
+                    mat_mul(gi, [list(r) for r in self.basis]), gi)
+        return self._dual
 
     def level(self) -> int:
         """Least N with N*beta^2 in 2Z for every dual vector beta."""

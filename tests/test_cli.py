@@ -336,6 +336,55 @@ PINNED_OUTPUT = [
 ]
 
 
+def _spin_json(order, height, last, status):
+    """verify spin --format json without wall_ms: six checks that pass at
+    every shipped order, then the spin-equals-vector check."""
+    passing = "".join(
+        '{"first_discrepancy":null,"name":"%s","pass":true,"range":%s},'
+        % (name, rng) for name, rng in (
+            ("vector_action_matches_table", "null"),
+            ("matrix_order", "null"), ("cycle_shape_V", "null"),
+            ("cycle_shape_L", "null"), ("spinor_traces_equal", "null"),
+            ("triality_on_basis_pairs", '"64 basis pairs"')))
+    return ('{"checks":[' + passing + last + '],"command":"verify spin",'
+            '"params":{"height":"%s","jobs":"1","order":"%s","prec":"50"},'
+            '"status":"%s"}\n' % (height, order, status))
+
+
+_SPIN_EQUAL = ('{"first_discrepancy":null,'
+               '"name":"spin_reps_equal_vector_rep","pass":true,'
+               '"range":null}')
+_SPIN_DIFFER = ('{"first_discrepancy":{"expected":"equal to rho_V",'
+                '"got":"different matrices","location":"rho_L,rho_R"},'
+                '"name":"spin_reps_equal_vector_rep","pass":false,'
+                '"range":null}')
+
+
+class TestVerifySpin:
+    @pytest.mark.parametrize("order,code,expected", [
+        (1, 0, _spin_json(1, 4, _SPIN_EQUAL, "pass")),
+        (3, 0, _spin_json(3, 6, _SPIN_EQUAL, "pass")),
+        (7, 1, _spin_json(7, 6, _SPIN_DIFFER, "fail")),
+    ])
+    def test_json_bytes(self, capsys, order, code, expected):
+        got = run(capsys, "verify", "spin", "--order", str(order),
+                  "--format", "json")
+        assert (got[0], re.sub(r',"wall_ms":[0-9]+', "", got[1]), got[2]) \
+            == (code, expected, "")
+
+    def test_each_shape_computed_once(self, capsys, monkeypatch):
+        from superdenom import octonion
+        calls = []
+        for name in ("matrix_order", "cycle_shape"):
+            def counted(m, _f=getattr(octonion, name), _n=name):
+                calls.append(_n)
+                return _f(m)
+            monkeypatch.setattr(octonion, name, counted)
+        assert run(capsys, "verify", "spin", "--order", "7")[0] == 1
+        assert sorted(calls) == ["cycle_shape", "cycle_shape",
+                                 "matrix_order"]
+
+
 class TestPinnedOutput:
     @pytest.mark.parametrize("argv,expected", PINNED_OUTPUT,
                              ids=[a for a, _ in PINNED_OUTPUT])

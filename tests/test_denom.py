@@ -4,11 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superdenom.denom import (LatticeSeries, expand_factor,
-                              factor_coefficients, product_side, sum_side,
-                              verify_identity)
+import superdenom.denom as dn
+from superdenom.denom import (LatticeSeries, accumulated_product,
+                              expand_factor, expand_product, exponential,
+                              factor_coefficients, log_derivative,
+                              product_side, sum_side, verify_identity)
 from superdenom.lattices import LorentzianPoint
 from superdenom.mult import TwistClass
+
+
+@pytest.fixture(scope="module")
+def tc1():
+    return TwistClass(1)
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +177,15 @@ def _inverse(coeffs):
     return d[1:]
 
 
+def _cone_point(draw, rank, H):
+    """(rcoords, m, n) of height 1..H with coordinates in -4..4."""
+    m = draw(st.integers(0, H))
+    n = draw(st.integers(0 if m else 1, H - m))
+    rc = tuple(draw(st.lists(st.integers(-4, 4), min_size=rank,
+                             max_size=rank)))
+    return rc, m, n
+
+
 @st.composite
 def _factor_lists(draw):
     """(rank, H, list of power lists): random factors over ranks 0, 1, 2
@@ -179,10 +195,7 @@ def _factor_lists(draw):
     H = draw(st.integers(1, 6))
     factors = []
     for _ in range(draw(st.integers(0, 5))):
-        m = draw(st.integers(0, H))
-        n = draw(st.integers(0 if m else 1, H - m))
-        rc = tuple(draw(st.lists(st.integers(-4, 4), min_size=rank,
-                                 max_size=rank)))
+        rc, m, n = _cone_point(draw, rank, H)
         kmax = H // (m + n)
         cs = draw(st.lists(st.integers(-3, 3), min_size=kmax,
                            max_size=kmax))
@@ -230,6 +243,67 @@ class TestAccumulatorOracle:
                                 _powers(alpha, _inverse(cs))])
         assert new.items() == ref.items() == [(((0, 0), 0, 0), 1)]
         assert new.term_count() == 1
+
+
+@st.composite
+def _mult_factor_lists(draw):
+    """(rank, H, list of (point, m_even, m_odd)): the factor shape of the
+    denominator product, with m_even != m_odd allowed so that the odd and
+    even powers of a factor's log derivative differ."""
+    rank = draw(st.sampled_from((0, 1, 2, 8)))
+    H = draw(st.integers(1, 6))
+    mult = st.integers(0, 6)
+    factors = [(LorentzianPoint(*_cone_point(draw, rank, H)),
+                draw(mult), draw(mult))
+               for _ in range(draw(st.integers(0, 8)))]
+    return rank, H, factors
+
+
+class TestExpOfLogDerivative:
+    """expand_product against the accumulator it replaced on the verifier's
+    path."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mult_factor_lists(), st.integers(1, 3))
+    def test_matches_mul_factor_chain(self, case, jobs):
+        rank, H, factors = case
+        new = expand_product(factors, H, rank, jobs)
+        ref = accumulated_product(factors, H, rank, jobs)
+        assert new.items() == ref.items()
+        assert new.term_count() == ref.term_count()
+
+    @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 12)])
+    def test_matches_at_real_sizes(self, order, height, tc1, tc3, tc7):
+        tc = {1: tc1, 3: tc3, 7: tc7}[order]
+        factors = dn._factor_list(tc, height, "split")
+        rank = tc.fixed.rank
+        ref = accumulated_product(factors, height, rank)
+        for jobs in (1, 2, 8):
+            assert expand_product(factors, height, rank, jobs) == ref
+        assert product_side(tc, height) == ref
+
+    def test_log_derivative_of_one_factor(self):
+        # theta log (1-x)^3 (1+x)^{-1} at x = e^alpha, h(alpha) = 2:
+        # 2 * (-3 - 1), 2 * (-3 + 1), 2 * (-3 - 1) at alpha, 2alpha, 3alpha
+        alpha = LorentzianPoint((1, -2), 1, 1)
+        L = log_derivative([(alpha, 3, 1)], 6, 2)
+        assert L.items() == [(((1, -2), 1, 1), -8), (((2, -4), 2, 2), -4),
+                             (((3, -6), 3, 3), -8)]
+
+    def test_non_integral_exponential_raises(self):
+        # L_1 = e^x alone: F_1 = e^x, then 2 F_2 = L_1 F_1 = e^2x
+        L = LatticeSeries(2, 1)
+        L.buckets[1][L.pack((0,), 1)] = 1
+        with pytest.raises(ArithmeticError):
+            exponential(L)
+
+    def test_invalid_factors_rejected(self):
+        with pytest.raises(ValueError):
+            log_derivative([(LorentzianPoint((0,), 0, 0), 1, 1)], 3, 1)
+        with pytest.raises(ValueError):
+            log_derivative([(LorentzianPoint((0,), 1, 0), -1, 0)], 3, 1)
+        with pytest.raises(ValueError):
+            expand_product([], 3, 1, jobs=0)
 
 
 class TestPackedKeys:
@@ -339,6 +413,24 @@ class TestVerifyIdentity:
         p3 = product_side(tc3, 3)
         for h in range(4):
             assert p4.buckets[h] == p3.buckets[h]
+
+    def test_factor_list_built_once(self, monkeypatch):
+        calls = []
+        orig = dn._factor_list
+
+        def counted(*args):
+            calls.append(args)
+            return orig(*args)
+        monkeypatch.setattr(dn, "_factor_list", counted)
+        assert dn.verify_identity(3, 3).passed
+        assert len(calls) == 1
+
+    def test_no_series_product_on_the_path(self, tc7, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("series product on the verifier's path")
+        monkeypatch.setattr(LatticeSeries, "mul_series", refuse)
+        monkeypatch.setattr(LatticeSeries, "mul_factor", refuse)
+        assert verify_identity(7, 8, jobs=2, tc=tc7).passed
 
     def test_perturbed_multiplicity_fails(self, tc3, monkeypatch):
         import superdenom.denom as dn

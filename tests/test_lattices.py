@@ -374,3 +374,11 @@ class TestSetupOracles:
         gi = lat.gram_inv()
         assert lat.gram_inv() is gi
         assert type(gi) is tuple and all(type(r) is tuple for r in gi)
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_dual_is_built_once(self, twists, order):
+        f = twists[order].fixed
+        assert f.dual() is f.dual() is twists[order].lorentzian.dual
+        fresh = IntegralLattice(f.basis, f.gram)
+        assert f.dual().gram == fresh.gram_inv()
+        assert IntegralLattice(()).dual().rank == 0
