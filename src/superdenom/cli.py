@@ -351,14 +351,45 @@ def parse_args(argv) -> argparse.Namespace:
         if args.format not in formats:
             sp.error(f"config format: invalid choice: {args.format!r} "
                      f"(choose from {', '.join(formats)})")
+    unread = sorted(_given_options(argv, args.command)
+                    - READS[_what(args)] - {"format", "out", "config"})
+    if unread:
+        commands[args.command].error(
+            f"{' '.join(filter(None, _what(args)))} does not read "
+            f"{', '.join('--' + d.replace('_', '-') for d in unread)}")
     if args.height is None:
         args.height = 4 if args.order == 1 else 6
     return args
 
 
-# (command, target or kind) pairs whose output is empty below height 1
-NEEDS_HEIGHT = {("verify", "denominator"), ("verify", "mult"),
-                ("table", "mult"), ("table", "simple_roots")}
+def _given_options(argv, command) -> set:
+    """Dests of the options that appear on argv, parsed again with no
+    defaults, so that abbreviations and --flag=value count too."""
+    parser, commands = build_parser()
+    for action in commands[command]._actions:
+        action.default = argparse.SUPPRESS
+    return vars(parser.parse_args(argv)).keys() - {"command", "target",
+                                                   "kind", "series"}
+
+
+def _what(cfg):
+    """(command, target or kind), the key of READS."""
+    return (cfg.command, getattr(cfg, "target", getattr(cfg, "kind", None)))
+
+
+# options each subcommand reads besides --format, --out and --config; any
+# other option on argv exits 2
+READS = {
+    ("verify", "susy"): {"order", "prec"},
+    ("verify", "theta"): {"order", "prec"},
+    ("verify", "spin"): {"order"},
+    ("verify", "lattice"): {"order"},
+    ("verify", "mult"): {"order", "height", "max_norm"},
+    ("verify", "denominator"): {"order", "height", "jobs"},
+    ("table", "mult"): {"order", "height", "max_norm"},
+    ("table", "simple_roots"): {"order", "height"},
+    ("dump", None): {"prec"},
+}
 
 
 def validate(cfg):
@@ -368,9 +399,10 @@ def validate(cfg):
         raise UsageError("jobs must be at least 1")
     if cfg.prec < 1 or cfg.height < 0:
         raise UsageError("precision and height must be positive")
-    what = getattr(cfg, "target" if cfg.command == "verify" else "kind", None)
-    if (cfg.command, what) in NEEDS_HEIGHT and cfg.height < 1:
-        raise UsageError(f"{cfg.command} {what} needs height at least 1")
+    command, what = _what(cfg)
+    # every subcommand that reads the height lists nothing below height 1
+    if "height" in READS[command, what] and cfg.height < 1:
+        raise UsageError(f"{command} {what} needs height at least 1")
     if cfg.max_norm is not None and cfg.max_norm < 0:
         raise UsageError("max-norm must be nonnegative")
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .mult import TwistClass, mult_closed
 from .lattices import LorentzianLattice, LorentzianPoint
@@ -359,37 +359,33 @@ def _factor_list(tc: TwistClass, max_height: int, form: str):
     lor = tc.lorentzian
     N, D = tc.order, lor.exponent
     closed = form == "theorem1" or N == 1
+    # grow the c series once: the largest exponent read is -alpha^2/2 at
+    # r* = 0 and the largest mn
+    tc._need((max_height // 2) * ((max_height + 1) // 2))
     factors = []
-    # r* -> in_lattice, and r* -> D r*^2 on L; (m, n) plays no part
-    member: dict[tuple, bool] = {}
-    scaled: dict[tuple, int] = {}
+    rows = lor.rows
     cs: dict[tuple[int, int], int] = {}  # (num, den) -> c(num/den)
 
     def c_at(num: int, den: int) -> int:
         c = cs.get((num, den))
         if c is None:
-            c = cs[num, den] = int(tc.c_coeff(Fraction(num, den)))
+            c = cs[num, den] = tc.c_coeff(Fraction(num, den))
         return c
 
     for p in lor.positive_cone_enum(max_height):
-        inside = member.get(p.rcoords)
-        if inside is None:
-            inside = member[p.rcoords] = lor.in_lattice(p)
-        if not inside:
+        row = rows[p.rcoords]
+        if not row.in_lattice:
             continue  # multiplicities vanish off L
         if closed:
             me, mo = mult_closed(tc, p)
             if me or mo:
-                factors.append((p, int(me), int(mo)))
+                factors.append((p, me, mo))
             continue
-        q = scaled.get(p.rcoords)
-        if q is None:
-            q = scaled[p.rcoords] = lor.rstar_norm_scaled(p.rcoords)
-        x = 2 * p.m * p.n * D - q  # D * (-alpha^2)
+        x = 2 * p.m * p.n * D - row.norm_scaled  # D * (-alpha^2)
         c1 = c_at(x, 2 * D)
         if c1:
             factors.append((p, c1, c1))
-        if lor.in_n_dual(p, N):
+        if gcd(p.m, p.n, row.gcd) % N == 0:  # alpha in N L*
             c2 = c_at(x, 2 * D * N)
             if c2:
                 factors.append((p, c2, c2))

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .series import QSeries
 
@@ -278,6 +279,19 @@ _THETA_CASES = {
 }
 
 
+@lru_cache(maxsize=4)
+def _theta_expansions(case: str, prec: Fraction):
+    """(prefactor, multisection kernel) of a theta case, expanded once per
+    (case, prec) and shared by all of its cosets."""
+    data = _THETA_CASES[case]
+    scalar, pref = data["prefactor"]
+    prefactor = eta_expand(EtaQuotient(pref), prec).scaled(scalar)
+    # the multisection kernel is the delta term with q^m replaced by q,
+    # expanded far enough that re-indexing by 1/m still reaches prec
+    f = eta_expand(EtaQuotient(data["kernel"]), prec * data["modulus"])
+    return prefactor, f
+
+
 def theta_coset_formula(case: str, coset_norm_class, prec) -> QSeries:
     """Closed formula for the coset theta series of A2+A2 or A6.
 
@@ -298,11 +312,7 @@ def theta_coset_formula(case: str, coset_norm_class, prec) -> QSeries:
     if t.denominator != 1:
         raise InvalidClass(f"norm class {cls} not on the {case} grid")
     t = t.numerator % m
-    scalar, pref = data["prefactor"]
-    prefactor = eta_expand(EtaQuotient(pref), prec).scaled(scalar)
-    # the multisection kernel is the delta term with q^m replaced by q,
-    # expanded far enough that re-indexing by 1/m still reaches prec
-    f = eta_expand(EtaQuotient(data["kernel"]), prec * m)
+    prefactor, f = _theta_expansions(case, prec)
     picked = f.multisection(m, t).scale_exp(Fraction(1, m)).scaled(m)
     if cls == 0:
         picked = picked + eta_expand(EtaQuotient(data["delta_term"]), prec)

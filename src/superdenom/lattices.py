@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
+from typing import NamedTuple
 
 from .arith import floor_sqrt
 from .intlinalg import (det, hnf, left_kernel_basis, mat_inv, mat_mul,
@@ -147,7 +149,10 @@ class DiscriminantGroup:
         for d in self.invariants:
             self.order *= d
         g = self.lattice.gram_int() if self.lattice.rank else []
-        self._hnf = hnf(g) if g else []
+        # (pivot column, row) of each Hermite normal form row; a row is zero
+        # left of its pivot
+        self._pivots = [(next(i for i, x in enumerate(row) if x), row)
+                        for row in (hnf(g) if g else [])]
 
     def coset_label(self, dual_coords) -> tuple[int, ...]:
         """Canonical representative of a dual vector modulo the lattice.
@@ -157,11 +162,10 @@ class DiscriminantGroup:
         coordinates.
         """
         v = [int(x) for x in dual_coords]
-        for row in self._hnf:
-            piv = next(i for i, x in enumerate(row) if x)
+        for piv, row in self._pivots:
             q = v[piv] // row[piv]
             if q:
-                for i in range(len(v)):
+                for i in range(piv, len(v)):
                     v[i] -= q * row[i]
         return tuple(v)
 
@@ -187,13 +191,16 @@ def _fp_decompose(gram):
     return d, c
 
 
-def _enumerate_scaled(lattice: IntegralLattice, s, max_norm):
+def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
     """(points, T): every (coords, T*(x+s)^2) with (x + s)^2 <= max_norm.
 
     Everything is rescaled to integers once so the recursion runs on plain
     ints: with M a common denominator of the completion data, the offset
     centers live on the grid (1/M^2)Z and the partial norms are tracked as
     q * T for a fixed global scale T, so every returned norm is an int.
+    The last coordinate is a loop inside its parent level, not a level of
+    its own.  Given a dict counts, each point only adds one to
+    counts[T*(x+s)^2] and points is empty.
     """
     n = lattice.rank
     d, c = _fp_decompose(lattice.gram)
@@ -211,21 +218,48 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm):
     cN = [[int(c[i][j] * M) for j in range(n)] for i in range(n)]
     dN = [int(d[i] * dden) for i in range(n)]
     R0 = int(max_norm * T)
+    if n == 0:
+        return [((), 0)], T
     out = []
     x = [0] * n
     y = [0] * n  # y[j] = M*(x[j] + s[j])
 
-    def recurse(i, remaining):
-        if i < 0:
-            out.append((tuple(x), R0 - remaining))
-            return
+    def bounds(i, remaining):
+        """(lo, hi, base, di): a range of x_i holding every admissible
+        value, with base = M^2*lo + center for the first one."""
         ci = cN[i]
         centerN = M * sN[i] + sum(ci[j] * y[j] for j in range(i + 1, n))
         di = dN[i]
         r = floor_sqrt(remaining // (di * m4))
         lo = -r - 1 + ((-centerN) // m2)    # -r - 1 - ceil(centerN/M^2)
         hi = r + 1 - centerN // m2
-        base = m2 * lo + centerN
+        return lo, hi, m2 * lo + centerN, di
+
+    def last(remaining):
+        lo, hi, base, di = bounds(0, remaining)
+        top = R0 - remaining
+        if counts is None:
+            for xi in range(lo, hi + 1):
+                used = di * base * base
+                if used <= remaining:
+                    x[0] = xi
+                    out.append((tuple(x), top + used))
+                base += m2
+            x[0] = 0
+        else:
+            get = counts.get
+            for _ in range(lo, hi + 1):
+                used = di * base * base
+                if used <= remaining:
+                    q = top + used
+                    counts[q] = get(q, 0) + 1
+                base += m2
+
+    def recurse(i, remaining):
+        if i == 0:
+            last(remaining)
+            return
+        lo, hi, base, di = bounds(i, remaining)
         for xi in range(lo, hi + 1):
             used = di * base * base
             if used <= remaining:
@@ -266,10 +300,8 @@ def theta_coset(lattice: IntegralLattice, shift, prec) -> QSeries:
     if lattice.rank == 0:
         return QSeries.one(trunc=prec)
     s = [0] * lattice.rank if shift is None else lattice.coords_of(shift)
-    points, T = _enumerate_scaled(lattice, s, 2 * prec)
     counts: dict[int, int] = {}
-    for _, q in points:
-        counts[q] = counts.get(q, 0) + 1
+    _, T = _enumerate_scaled(lattice, s, 2 * prec, counts)
     # exponents q/2T >= prec are dropped by the truncation
     return QSeries.from_terms(((Fraction(q, 2 * T), k)
                                for q, k in counts.items()), trunc=prec)
@@ -406,47 +438,78 @@ class LorentzianPoint:
                                self.m * k, self.n * k)
 
 
+class RStarRow(NamedTuple):
+    """What a cone point's multiplicity needs to know about its r*."""
+
+    norm_scaled: int        # D * r*^2 = r*.A r*
+    in_lattice: bool        # r* in the fixed lattice: A r* = 0 mod D
+    label: tuple[int, ...]  # discriminant coset of r*
+    gcd: int                # gcd of the dual coordinates, 0 for r* = 0
+
+
+class _RowTable(dict):
+    """r* -> RStarRow, each row computed on its first lookup, so a lookup
+    that hits is a plain dict subscript."""
+
+    def __init__(self, scaled_inv, exponent: int, disc: DiscriminantGroup):
+        super().__init__()
+        self.scaled_inv, self.exponent, self.disc = scaled_inv, exponent, disc
+        self.labels: dict[tuple, tuple] = {}  # A r* mod D -> coset label
+
+    def __missing__(self, rcoords) -> RStarRow:
+        D = self.exponent
+        w = [sum(map(mul, a, rcoords)) for a in self.scaled_inv]  # A r*
+        # A r* mod D names the coset of r* in L*/L: it is 0 on L, and the
+        # canonical label is reduced once per coset
+        coset = tuple([x % D for x in w])
+        label = self.labels.get(coset)
+        if label is None:
+            label = self.labels[coset] = self.disc.coset_label(rcoords)
+        row = self[rcoords] = RStarRow(sum(map(mul, w, rcoords)),
+                                       not any(coset), label, gcd(*rcoords))
+        return row
+
+
 class LorentzianLattice:
     """L = fixed + II_{1,1} with its dual, cone and membership machinery.
 
     Points of L* carry dual coordinates r*, and every question about them is
     answered in integers through A = D * Gram^{-1}, D the exponent of the
     discriminant group: r* lies in the fixed lattice iff A r* = 0 mod D, and
-    r*^2 = r*.A r* / D.
+    r*^2 = r*.A r* / D.  The answers that depend on r* alone are computed
+    once per distinct r* and kept as one RStarRow in rows[r*].
     """
 
     def __init__(self, fixed: IntegralLattice):
         self.fixed = fixed
         self.dual = fixed.dual() if fixed.rank else fixed
         self.gram_int = fixed.gram_int()
+        self.disc = fixed.discriminant_group()
         inv = fixed.gram_inv()
         self.exponent = lcm(1, *(x.denominator for row in inv for x in row))
-        self._scaled_inv = [[int(x * self.exponent) for x in row]
-                            for row in inv]
+        scaled_inv = [[int(x * self.exponent) for x in row] for row in inv]
+        self.rows = _RowTable(scaled_inv, self.exponent, self.disc)
 
     def rstar_norm_scaled(self, rcoords) -> int:
         """D * r*^2 = r*.A r*, an integer."""
-        return _dot(rcoords, mat_vec(self._scaled_inv, rcoords))
+        return self.rows[rcoords].norm_scaled
 
     def rstar_norm(self, rcoords) -> Fraction:
-        return Fraction(self.rstar_norm_scaled(rcoords), self.exponent)
+        return Fraction(self.rows[rcoords].norm_scaled, self.exponent)
 
     def norm(self, p: LorentzianPoint) -> Fraction:
         return self.rstar_norm(p.rcoords) - 2 * p.m * p.n
 
     def pairing_divisor(self, p: LorentzianPoint) -> int:
-        return gcd(p.m, p.n, *p.rcoords)
+        return gcd(p.m, p.n, self.rows[p.rcoords].gcd)
 
     def in_lattice(self, p: LorentzianPoint) -> bool:
         """Membership of the definite part in the fixed lattice itself."""
-        D = self.exponent
-        return D == 1 or all(
-            x % D == 0 for x in mat_vec(self._scaled_inv, p.rcoords))
+        return self.rows[p.rcoords].in_lattice
 
     def in_n_dual(self, p: LorentzianPoint, n: int) -> bool:
         """Membership in N*L*."""
-        return (all(c % n == 0 for c in p.rcoords)
-                and p.m % n == 0 and p.n % n == 0)
+        return self.pairing_divisor(p) % n == 0
 
     def in_n_lattice(self, p: LorentzianPoint, n: int) -> bool:
         """Membership in N*L."""

@@ -4,8 +4,10 @@ The central object is the Moebius-convolution formula
 
     mult(alpha) = sum_{ds | ((alpha,L), N)} mu(s)/(ds) * tr(g^d | E~_{alpha/ds})
 
-evaluated with exact rational arithmetic, together with the closed forms
-(c(-alpha^2/2) on L, plus c(-alpha^2/2N) on N*L*) that it must reproduce.
+evaluated in integers as c * mult(alpha), c = ((alpha,L), N), together with
+the closed forms (c(-alpha^2/2) on L, plus c(-alpha^2/2N) on N*L*) that it
+must reproduce.  Exponents are integer numerators over 2D, read from the
+lattice's per-r* rows, so no Fraction is built per point.
 Only odd twist orders are supported; the convolution inverse used in the
 derivation is wrong for even orders.
 """
@@ -65,10 +67,10 @@ class TwistClass:
         self.e8 = e8_lattice()
         self.fixed = fixed_sublattice(self.rho_v, self.e8)
         self.complement = orthogonal_complement(self.fixed, self.e8)
-        self.disc = self.fixed.discriminant_group()
+        self.lorentzian = LorentzianLattice(self.fixed)
+        self.disc = self.lorentzian.disc
         self.shift_table = build_coset_shift_table(self.fixed, self.e8,
                                                    self.disc)
-        self.lorentzian = LorentzianLattice(self.fixed)
         self._prec = max(prec, 8)
         # dimension series need theta enumeration of the complement, whose
         # cost grows quickly with precision; they are only ever read at the
@@ -91,15 +93,16 @@ class TwistClass:
             th = theta_coset(self.complement, shift, p)
             self.gf_dim_by_coset[lab] = dim_gf(th, p)
 
-    def _need(self, exponent: Fraction):
-        """Grow the trace/series caches past the given exponent."""
+    def _need(self, exponent):
+        """Grow the trace/series caches past the given exponent (an int or
+        Fraction; floor(exponent) gives the same precision)."""
         if exponent >= self._prec:
             while self._prec <= exponent:
                 self._prec *= 2
             self._build_series_caches()
 
-    def _need_dim(self, exponent: Fraction):
-        """Grow the dimension caches past the given exponent."""
+    def _need_dim(self, exponent):
+        """Grow the dimension caches past the given exponent, as _need."""
         if exponent >= self._dim_prec:
             while self._dim_prec <= exponent:
                 self._dim_prec *= 2
@@ -107,73 +110,98 @@ class TwistClass:
 
     # -- coefficient services -------------------------------------------
 
-    def c_coeff(self, exp) -> Fraction:
+    def c_at(self, num: int, den: int) -> int:
+        """c(num/den) for ints num and den > 0; 0 below 0 and off the
+        integer grid."""
+        if num < 0:
+            return 0
+        self._need(num // den)
+        return _integer(self.c.coeff_at(num, den), "c", num, den)
+
+    def c_coeff(self, exp) -> int:
         """c(exp): multiplicity-series coefficient; 0 off the integer grid."""
         e = Fraction(exp)
-        if e < 0:
-            return Fraction(0)
-        self._need(e)
-        return self.c.coeff(e)
+        return self.c_at(e.numerator, e.denominator)
 
     def tail_coeff(self, k: int) -> Fraction:
-        self._need(Fraction(k))
+        self._need(k)
         return self.tail.coeff(k)
 
     def coset_label_of(self, point: LorentzianPoint):
-        return self.disc.coset_label(point.rcoords)
+        return self.lorentzian.rows[point.rcoords].label
+
+
+def _integer(v, name: str, num: int, den: int) -> int:
+    """A series coefficient (int or Fraction) as an int."""
+    if v.denominator != 1:
+        raise NonIntegralMultiplicity(
+            f"{name} coefficient {v} at {Fraction(num, den)} is not an "
+            f"integer")
+    return v.numerator
 
 
 def trace_term(tc: TwistClass, d: int, beta: LorentzianPoint,
-               parity: str = "even") -> Fraction:
+               parity: str = "even") -> int:
     """tr(g^d | E~_beta) for a point beta of L*.
 
     For g^d = 1 this is the graded dimension, read off the coset dimension
     series; otherwise the trace vanishes off L and is a coefficient of the
     twisted trace series on L.
     """
-    exp = (1 - tc.lorentzian.norm(beta)) / 2
+    row = tc.lorentzian.rows[beta.rcoords]
+    D = tc.lorentzian.exponent
+    # (1 - beta^2)/2 = num/2D, with D beta^2 = D r*^2 - 2mnD
+    num, D2 = D * (1 + 2 * beta.m * beta.n) - row.norm_scaled, 2 * D
     if d % tc.order == 0:
-        tc._need_dim(exp)
-        gf = tc.gf_dim_by_coset[tc.coset_label_of(beta)]
-        return gf.coeff(exp)
-    tc._need(exp)
+        tc._need_dim(num // D2)
+        gf = tc.gf_dim_by_coset[row.label]
+        return _integer(gf.coeff_at(num, D2), "dimension", num, D2)
+    tc._need(num // D2)
     if gcd(d, tc.order) != 1:
         raise NotImplementedError(
             "composite twist orders need per-divisor trace data")
-    if not tc.lorentzian.in_lattice(beta):
-        return Fraction(0)
+    if not row.in_lattice:
+        return 0
     gf = tc.gf_trace_even if parity == "even" else tc.gf_trace_odd
-    return gf.coeff(exp)
+    return _integer(gf.coeff_at(num, D2), "trace", num, D2)
 
 
 def mult_theorem1(tc: TwistClass, alpha: LorentzianPoint,
-                  parity: str = "even") -> Fraction:
-    """The Moebius-convolution multiplicity of a nonzero cone point."""
-    n = tc.order
-    c = gcd(tc.lorentzian.pairing_divisor(alpha), n)
-    total = Fraction(0)
+                  parity: str = "even") -> int:
+    """The Moebius-convolution multiplicity of a nonzero cone point.
+
+    c * mult = sum mu(s) (c/ds) tr(...) is summed in integers and must be
+    divisible by c.
+    """
+    c = gcd(tc.lorentzian.pairing_divisor(alpha), tc.order)
+    if c == 1:  # the one term d = s = 1
+        return trace_term(tc, 1, alpha, parity)
+    total = 0
     for d in divisors(c):
         for s in divisors(c // d):
             mu = mobius(s)
-            if mu == 0:
-                continue
-            beta = alpha.divide(d * s)
-            total += Fraction(mu, d * s) * trace_term(tc, d, beta, parity)
-    if total.denominator != 1:
+            if mu:
+                total += mu * (c // (d * s)) * trace_term(
+                    tc, d, alpha.divide(d * s), parity)
+    q, r = divmod(total, c)
+    if r:
         raise NonIntegralMultiplicity(
-            f"mult({alpha}) = {total} is not an integer")
-    return total
+            f"mult({alpha}) = {Fraction(total, c)} is not an integer")
+    return q
 
 
 def mult_closed(tc: TwistClass, alpha: LorentzianPoint):
     """Closed-form (even, odd) multiplicities: supported on L, with an
     extra c-term on N*L*."""
-    if not tc.lorentzian.in_lattice(alpha):
-        return (Fraction(0), Fraction(0))
-    n2 = -tc.lorentzian.norm(alpha)
-    v = tc.c_coeff(n2 / 2)
-    if tc.order > 1 and tc.lorentzian.in_n_dual(alpha, tc.order):
-        v += tc.c_coeff(n2 / (2 * tc.order))
+    lor = tc.lorentzian
+    row = lor.rows[alpha.rcoords]
+    if not row.in_lattice:
+        return (0, 0)
+    D2, N = 2 * lor.exponent, tc.order
+    x = D2 * alpha.m * alpha.n - row.norm_scaled  # -alpha^2 = x/D
+    v = tc.c_at(x, D2)
+    if N > 1 and gcd(alpha.m, alpha.n, row.gcd) % N == 0:
+        v += tc.c_at(x, D2 * N)
     return (v, v)
 
 
@@ -224,11 +252,20 @@ def build_mult_table(tc: TwistClass, max_height: int,
     Any disagreement, non-integrality, parity asymmetry or support off L is
     an error, not a report entry.
     """
+    lor = tc.lorentzian
+    D = lor.exponent
+    points = []  # (point, D * -alpha^2) in the slice
+    for p in lor.positive_cone_enum(max_height):
+        x = 2 * D * p.m * p.n - lor.rows[p.rcoords].norm_scaled
+        if max_norm is None or x <= max_norm * D:
+            points.append((p, x))
+    if points:
+        # grow the series once: the largest exponent read is (1 - alpha^2)/2
+        # on the trace series, or -alpha^2/2 on c at order 1
+        top = max(x for _, x in points) + (D if tc.order > 1 else 0)
+        tc._need(top // (2 * D))
     rows = []
-    for p in tc.lorentzian.positive_cone_enum(max_height):
-        norm = tc.lorentzian.norm(p)
-        if max_norm is not None and -norm > max_norm:
-            continue
+    for p, x in points:
         even = mult_theorem1(tc, p, "even")
         odd = mult_theorem1(tc, p, "odd")
         closed = mult_closed(tc, p)
@@ -240,10 +277,10 @@ def build_mult_table(tc: TwistClass, max_height: int,
         if even != odd:
             raise TheoremClosedFormMismatch(
                 f"parity asymmetry at {p}: {even} != {odd}")
-        if not tc.lorentzian.in_lattice(p) and even != 0:
+        if not lor.in_lattice(p) and even != 0:
             raise TheoremClosedFormMismatch(f"support off L at {p}")
-        label = "+".join(str(x) for x in tc.coset_label_of(p))
-        rows.append((label, p.m, p.n, norm,
-                     tc.lorentzian.pairing_divisor(p), even, odd,
+        row = lor.rows[p.rcoords]
+        rows.append(("+".join(map(str, row.label)), p.m, p.n,
+                     Fraction(-x, D), gcd(p.m, p.n, row.gcd), even, odd,
                      "theorem1=closed"))
     return Table(MULT_COLUMNS, rows, {"order": tc.order})

@@ -130,6 +130,16 @@ class QSeries:
             return Fraction(0)  # off the exponent grid
         return self.terms.get(ke.numerator, Fraction(0))
 
+    def coeff_at(self, num: int, den: int):
+        """coeff(num/den) for ints num and den > 0, building no Fraction:
+        the stored coefficient, or 0 off the support."""
+        t = self.trunc
+        if t is not None and num * t.denominator >= t.numerator * den:
+            raise CoefficientUnknown(
+                f"exponent {Fraction(num, den)} >= trunc {t}")
+        k, r = divmod(num * self.expdenom, den)
+        return 0 if r else self.terms.get(k, 0)
+
     def items(self):
         """Sorted (exponent, coefficient) pairs."""
         D = self.expdenom

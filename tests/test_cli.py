@@ -65,6 +65,43 @@ class TestExitCodes:
         assert code == 2 and out == "" and "error:" in err
 
 
+class TestUnreadFlags:
+    """An option on argv that the subcommand never reads exits 2 with the
+    usage message; --format, --out and --config are read everywhere."""
+
+    @pytest.mark.parametrize("argv", [
+        "dump c3 --height 99 --jobs 9",
+        "dump c3 --prec 3 --ord 7",
+        "verify susy --height 99 --jobs 5",
+        "verify susy --prec 5 --max-norm 3",
+        "verify theta --order 7 --jobs=2",
+        "verify spin --order 3 --prec 2",
+        "verify lattice --order 7 --height 4",
+        "verify mult --order 7 --height 2 --jobs 2",
+        "verify denominator --order 7 --height 2 --max-norm 4",
+        "table simple_roots --order 7 --height 3 --max-norm 3",
+        "table mult --order 7 --height 2 --prec 9",
+    ])
+    def test_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert "usage:" in err and "does not read" in err
+
+    def test_params_keep_unread_defaults(self, capsys):
+        code, report, _ = run_json(capsys, "verify", "susy", "--prec", "5")
+        assert code == 0
+        assert report["params"] == {"height": "6", "jobs": "1",
+                                    "order": "3", "prec": "5"}
+
+    def test_config_may_set_unread_keys(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("height = 99\njobs = 5\nmax-norm = 3\n")
+        code, report, _ = run_json(capsys, "verify", "susy", "--prec", "5",
+                                   "--config", str(cfgfile))
+        assert code == 0
+        assert report["params"]["height"] == "99"
+
+
 class TestReports:
     def test_json_report_shape(self, capsys):
         code, report, _ = run_json(capsys, "verify", "lattice",

@@ -425,6 +425,21 @@ class TestVerifyIdentity:
         assert dn.verify_identity(3, 3).passed
         assert len(calls) == 1
 
+    def test_series_caches_rebuilt_once(self, monkeypatch):
+        """The factor list grows the c series once, to the largest exponent
+        of the slice (c(81) at height 18): one rebuild, from prec 24 to 96,
+        not one per doubling."""
+        tc = TwistClass(7)
+        precs = []
+        orig = TwistClass._build_series_caches
+
+        def counted(self):
+            precs.append(self._prec)
+            orig(self)
+        monkeypatch.setattr(TwistClass, "_build_series_caches", counted)
+        assert verify_identity(7, 18, tc=tc).passed
+        assert precs == [96]
+
     def test_no_series_product_on_the_path(self, tc7, monkeypatch):
         def refuse(*args):
             raise AssertionError("series product on the verifier's path")

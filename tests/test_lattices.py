@@ -332,6 +332,28 @@ class TestIntegerCoreOracles:
                 (ref.expdenom, ref.terms, ref.trunc), shift
 
 
+class TestCountOnlyTheta:
+    @pytest.mark.parametrize("order,prec", [(1, 2), (3, 4), (7, 3)])
+    def test_against_enumerated_norms(self, twists, order, prec):
+        """theta_coset tallies norms without listing points: count the
+        points enumerate_coset lists, by norm_of_coords, on E8 and on every
+        A2+A2 and A6 coset."""
+        tc = twists[order]
+        cases = [(tc.e8, None)] if order == 1 else \
+            [(tc.complement, s) for _, s in sorted(tc.shift_table.items())]
+        for lat, shift in cases:
+            s = (0,) * lat.rank if shift is None else lat.coords_of(shift)
+            counts = {}
+            for coords in enumerate_coset(lat, shift, 2 * prec):
+                e = lat.norm_of_coords([c + x for c, x in zip(coords, s)]) / 2
+                if e < prec:
+                    counts[e] = counts.get(e, 0) + 1
+            assert len(counts) > 1
+            th = theta_coset(lat, shift, prec)
+            assert th.trunc == prec and th == \
+                QSeries.from_terms(counts.items(), trunc=F(prec)), shift
+
+
 def _ref_shift_table(fixed, container, disc):
     """Shift table from the Fraction pairings of each enumerated ambient
     vector with the fixed basis."""

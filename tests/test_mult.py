@@ -1,14 +1,20 @@
 """Multiplicity formulas: convolution sum, closed forms, cross-checks."""
 
+import re
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 
-from superdenom.arith import mobius
+from superdenom.arith import divisors, mobius
 from superdenom.lattices import LorentzianPoint, enumerate_coset
-from superdenom.mult import (MULT_COLUMNS, TwistClass, UnsupportedTwistOrder,
-                             build_mult_table, mult_closed, mult_theorem1,
-                             simple_root_mult, trace_term)
+from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity,
+                             TheoremClosedFormMismatch, TwistClass,
+                             UnsupportedTwistOrder, build_mult_table,
+                             mult_closed, mult_theorem1, simple_root_mult,
+                             trace_term)
+from superdenom.series import QSeries
 
 F = Fraction
 
@@ -186,3 +192,118 @@ class TestMultTable:
         assert len(parsed["rows"]) == len(table)
         csv_text = table.to_csv()
         assert csv_text.splitlines()[0] == ",".join(MULT_COLUMNS)
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the Fraction formulas it replaced
+
+
+@lru_cache(maxsize=None)
+def _ref_rstar(gram_inv, rcoords):
+    """(r*^2, r* in L) from the Fraction inverse Gram matrix."""
+    w = [sum((F(c) * x for c, x in zip(rcoords, row)), F(0))
+         for row in gram_inv]
+    return (sum((c * x for c, x in zip(rcoords, w)), F(0)),
+            all(x.denominator == 1 for x in w))
+
+
+def _ref_point(tc, p):
+    """(alpha^2, r* in L)."""
+    norm, inside = _ref_rstar(tc.fixed.gram_inv(), p.rcoords)
+    return norm - 2 * p.m * p.n, inside
+
+
+def _ref_trace_term(tc, d, beta, parity):
+    norm, inside = _ref_point(tc, beta)
+    exp = (1 - norm) / 2
+    if d % tc.order == 0:
+        tc._need_dim(exp)
+        gf = tc.gf_dim_by_coset[tc.disc.coset_label(beta.rcoords)]
+        return gf.coeff(exp)
+    tc._need(exp)
+    if not inside:
+        return F(0)
+    gf = tc.gf_trace_even if parity == "even" else tc.gf_trace_odd
+    return gf.coeff(exp)
+
+
+def _ref_theorem1(tc, alpha, parity):
+    c = gcd(alpha.m, alpha.n, *alpha.rcoords, tc.order)
+    total = F(0)
+    for d in divisors(c):
+        for s in divisors(c // d):
+            mu = mobius(s)
+            if mu:
+                total += F(mu, d * s) * _ref_trace_term(
+                    tc, d, alpha.divide(d * s), parity)
+    assert total.denominator == 1, alpha
+    return total
+
+
+def _ref_c(tc, exp):
+    if exp < 0:
+        return F(0)
+    tc._need(exp)
+    return tc.c.coeff(exp)
+
+
+def _ref_closed(tc, alpha):
+    norm, inside = _ref_point(tc, alpha)
+    if not inside:
+        return (F(0), F(0))
+    v = _ref_c(tc, -norm / 2)
+    if tc.order > 1 and gcd(alpha.m, alpha.n, *alpha.rcoords) % tc.order == 0:
+        v += _ref_c(tc, -norm / (2 * tc.order))
+    return (v, v)
+
+
+class TestIntegerKernelOracle:
+    @pytest.mark.parametrize("order,height", [(1, 3), (3, 5), (7, 8)])
+    def test_every_cone_point(self, tc1, tc3, tc7, order, height):
+        tc = {1: tc1, 3: tc3, 7: tc7}[order]
+        points = tc.lorentzian.positive_cone_enum(height)
+        assert points
+        for p in points:
+            for parity in ("even", "odd"):
+                got = mult_theorem1(tc, p, parity)
+                assert type(got) is int
+                assert got == _ref_theorem1(tc, p, parity), (p, parity)
+                assert trace_term(tc, 1, p, parity) == \
+                    _ref_trace_term(tc, 1, p, parity), (p, parity)
+            got = mult_closed(tc, p)
+            assert all(type(v) is int for v in got)
+            assert got == _ref_closed(tc, p), p
+
+
+def _bumped(gf, exp, by):
+    """gf with `by` added to its coefficient at exp."""
+    return gf + QSeries.monomial(exp, by)
+
+
+class TestNegativeControls:
+    """A wrong series coefficient on the theorem1 side shows up as a named
+    point of build_mult_table; the closed side reads only c."""
+
+    def test_perturbed_trace_series(self, monkeypatch):
+        tc = TwistClass(3)
+        # (0; 1, 1) has norm -2 and reads the trace series at q^{3/2}
+        monkeypatch.setattr(tc, "gf_trace_even",
+                            _bumped(tc.gf_trace_even, F(3, 2), 1))
+        point = LorentzianPoint(_zero(tc), 1, 1)
+        with pytest.raises(TheoremClosedFormMismatch,
+                           match=re.escape(f"at {point}: convolution "
+                                           "(9, 8) vs closed (8, 8)")):
+            build_mult_table(tc, 3)
+
+    @pytest.mark.parametrize("by,error", [
+        (3, TheoremClosedFormMismatch), (1, NonIntegralMultiplicity)])
+    def test_perturbed_dimension_series(self, monkeypatch, by, error):
+        """(0; 0, 3) is the first point with 3 | (alpha, L); its d = 3 term
+        reads the dimension at (0; 0, 1), q^{1/2}, with weight 1/3."""
+        tc = TwistClass(3)
+        label = tc.coset_label_of(LorentzianPoint(_zero(tc), 0, 1))
+        monkeypatch.setitem(tc.gf_dim_by_coset, label,
+                            _bumped(tc.gf_dim_by_coset[label], F(1, 2), by))
+        point = LorentzianPoint(_zero(tc), 0, 3)
+        with pytest.raises(error, match=re.escape(str(point))):
+            build_mult_table(tc, 3)

@@ -1,5 +1,6 @@
 """Truncated Puiseux series core: exactness, truncation calculus, algebra."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,22 @@ class TestConstruction:
         s = S([(0, 1)], trunc=F(3))
         with pytest.raises(CoefficientUnknown):
             s.coeff(3)
+
+    @pytest.mark.parametrize("trunc", [F(10, 3), None])
+    def test_integer_keyed_lookup_matches_coeff(self, trunc):
+        """coeff_at(num, den) reads what coeff(num/den) reads, and raises
+        CoefficientUnknown with the same message at and past trunc."""
+        s = S([(F(-1, 2), 5), (0, 1), (F(2, 3), -2), (3, 7)], trunc=trunc)
+        for num in range(-4, 13):
+            for den in (1, 2, 3, 6, 7):
+                try:
+                    want = s.coeff(F(num, den))
+                except CoefficientUnknown as exc:
+                    with pytest.raises(CoefficientUnknown,
+                                       match=f"^{re.escape(str(exc))}$"):
+                        s.coeff_at(num, den)
+                else:
+                    assert s.coeff_at(num, den) == want, (num, den)
 
     def test_exact_series_has_no_unknown_range(self):
         s = S([(0, 1)])
