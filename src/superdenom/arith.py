@@ -49,14 +49,6 @@ def mobius(n: int) -> int:
     return mu
 
 
-def floor_sqrt(x: Fraction) -> int:
-    """Largest integer t with t*t <= x.  Requires x >= 0."""
-    if x < 0:
-        raise ValueError("floor_sqrt: negative argument")
-    p, q = x.numerator, x.denominator
-    return isqrt(p * q) // q
-
-
 def sqrt_exact(x: Fraction) -> Fraction | None:
     """Exact rational square root of x, or None if x is not a perfect square."""
     if x < 0:

@@ -297,31 +297,41 @@ def build_parser():
                     "identities of the fake monster superalgebra.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, order=3, formats=("text", "json", "csv")):
+    def common(sp, command, order=3, formats=("text", "json", "csv")):
+        def read_by(dest, text):
+            """text plus the targets of command that read dest; hidden when
+            none does (the option stays, so config keys stay valid)."""
+            who = sorted(" ".join(filter(None, key)) for key, dests in
+                         READS.items() if key[0] == command and dest in dests)
+            return f"{text} (read by: {', '.join(who)})" if who \
+                else argparse.SUPPRESS
+
         sp.add_argument("--order", type=int, default=order,
-                        help="twist order (1, 3 or 7)")
-        sp.add_argument("--height", type=int,
-                        help="height truncation of lattice expansions")
+                        help=read_by("order", "twist order (1, 3 or 7)"))
+        sp.add_argument("--height", type=int, help=read_by(
+            "height", "height truncation of lattice expansions"))
         sp.add_argument("--prec", type=int, default=50,
-                        help="q-expansion precision")
-        sp.add_argument("--max-norm", dest="max_norm", type=int)
+                        help=read_by("prec", "q-expansion precision"))
+        sp.add_argument("--max-norm", dest="max_norm", type=int, help=read_by(
+            "max_norm", "list only the rows with -alpha^2 <= MAX_NORM"))
         sp.add_argument("--format", choices=formats, default="text")
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=int, default=1, help=read_by(
+            "jobs", "chunks of the factor list"))
         sp.add_argument("--out")
         sp.add_argument("--config",
                         help="INI-style key=value defaults (flags win)")
 
     sv = sub.add_parser("verify", help="run an exact verification")
     sv.add_argument("target", choices=sorted(VERIFY_TARGETS))
-    common(sv, formats=("text", "json"))
+    common(sv, "verify", formats=("text", "json"))
 
     st = sub.add_parser("table", help="emit a multiplicity table")
     st.add_argument("kind", choices=("mult", "simple_roots"))
-    common(st)
+    common(st, "table")
 
     sd = sub.add_parser("dump", help="dump a named q-series")
     sd.add_argument("series")
-    common(sd, order=1)
+    common(sd, "dump", order=1)
     return p, sub.choices
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .series import QSeries
 
@@ -72,37 +73,41 @@ SHAPE_1232 = CycleShape(((1, 2), (3, 2)))
 SHAPE_1171 = CycleShape(((1, 1), (7, 1)))
 
 
-def euler_product(scale: int, prec: Fraction) -> QSeries:
-    """prod_{n>=1} (1 - q^{scale*n}) via the pentagonal number theorem."""
-    prec = Fraction(prec)
-    terms = [(Fraction(0), Fraction(1))]
-    j = 1
-    while True:
-        done = True
-        for jj in (j, -j):
-            e = Fraction(scale) * jj * (3 * jj - 1) / 2
-            if e < prec:
-                terms.append((e, Fraction(-1 if j % 2 else 1)))
-                done = False
-        if done:
-            break
-        j += 1
-    return QSeries.from_terms(terms, trunc=prec)
-
-
 def eta_expand(spec: EtaQuotient, prec) -> QSeries:
-    """Exact expansion of the eta quotient up to the requested precision."""
+    """Exact expansion of the eta quotient up to the requested precision.
+
+    The unit part F = prod_k prod_n (1 - q^{kn})^{e_k} has the log
+    derivative L = q d/dq log F with L_t = -sum_{k | t} e_k k sigma(t/k),
+    and F comes back from L by Miller's recurrence t F_t = sum_j L_j F_{t-j}
+    in ints, whose division by t is exact (ArithmeticError otherwise).
+    """
     prec = Fraction(prec)
     lead = spec.leading_exponent
     if prec <= lead:
         raise ValueError("precision must exceed the leading exponent")
     rel = prec - lead  # relative precision of the unit part
-    result = QSeries.one(trunc=rel)
+    n = -((-rel.numerator) // rel.denominator)  # integer slots below rel
+    sigma = [0] * n
+    for d in range(1, n):
+        for m in range(d, n, d):
+            sigma[m] += d
+    L = [0] * n
     for k, e in spec.factors:
-        result = result * euler_product(k, rel) ** e
-    return result * QSeries.monomial(lead)
+        for m in range(1, (n - 1) // k + 1):
+            L[k * m] -= e * k * sigma[m]
+    F = [0] * n
+    F[0] = 1
+    for t in range(1, n):
+        F[t], r = divmod(sum(map(mul, L[1:t + 1], F[t - 1::-1])), t)
+        if r:
+            raise ArithmeticError(f"eta quotient unit part is not integral "
+                                  f"at q^{t}")
+    return QSeries(1, dict(enumerate(F)), rel) * QSeries.monomial(lead)
 
 
+# the trace series and the susy checks ask for the same products several
+# times over; a product is immutable, so one copy serves every caller
+@lru_cache(maxsize=8)
 def cycle_product(shape: CycleShape, sign: int, half_shift: bool,
                   prec) -> QSeries:
     """prod_{n>=1} prod_a (1 + sign*q^{a*(n-shift)})^{b_a}, shift 0 or 1/2.
@@ -112,26 +117,25 @@ def cycle_product(shape: CycleShape, sign: int, half_shift: bool,
     c = -(-sign)^a, so the product has integer coefficients.  They are kept
     in a dense list of Python ints, slot j holding the coefficient of q^{j/D}
     for every j/D < prec (D = 2 for the half shift, else 1).  The factor
-    1 + c*q^{e/D} multiplies in place as a[j] += c*a[j-e] for j from the top
-    down, applied b_a times; only the finished list becomes a QSeries.
+    1 + c*q^{e/D} with c = +-1 is one whole-list update a[e:] = a[e:] +- a,
+    whose right side is built from the old values before it is stored,
+    applied b_a times; only the finished list becomes a QSeries.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     prec = Fraction(prec)
     D = 2 if half_shift else 1
-    lim = prec * D
-    nslots = max(0, -((-lim.numerator) // lim.denominator))  # ceil(prec*D)
+    nslots = max(0, -((-prec.numerator * D) // prec.denominator))
     coeffs = [0] * nslots
     if nslots:
         coeffs[0] = 1
     for a, b in shape.cycles:
-        c = -((-sign) ** a)
+        op = add if -((-sign) ** a) == 1 else sub
         # q^{a(n-shift)} for n >= 1 sits in slots a, a + D*a, a + 2*D*a, ...
         for e in range(a, nslots, D * a):
             for _ in range(b):
-                for j in range(nslots - 1, e - 1, -1):
-                    coeffs[j] += c * coeffs[j - e]
-    return QSeries(D, {j: cj for j, cj in enumerate(coeffs) if cj}, prec)
+                coeffs[e:] = map(op, coeffs[e:], coeffs)
+    return QSeries(D, dict(enumerate(coeffs)), prec)
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +186,7 @@ def trace_gf_even(shape: CycleShape, prec) -> QSeries:
     p_plus = cycle_product(shape, +1, True, prec)
     p_minus = cycle_product(shape, -1, True, prec)
     p_zero = cycle_product(shape, -1, False, prec)
-    return (p_plus - p_minus).scaled(Fraction(1, 2)) * p_zero.inverse()
+    return (p_plus - p_minus).exact_div(2) * p_zero.inverse()
 
 
 def trace_gf_odd(shape: CycleShape, trace_l: int, prec) -> QSeries:
@@ -219,8 +223,7 @@ def check_raw_product_identity(shape: CycleShape, trace_l: int, prec):
     prec = Fraction(prec)
     p_plus = cycle_product(shape, +1, True, prec)
     p_minus = cycle_product(shape, -1, True, prec)
-    lhs = (p_plus - p_minus).scaled(Fraction(1, 2)) \
-        * QSeries.monomial(Fraction(-1, 2))
+    lhs = (p_plus - p_minus).exact_div(2) * QSeries.monomial(Fraction(-1, 2))
     rhs = cycle_product(shape, +1, False, prec - Fraction(1, 2)) \
         .scaled(trace_l)
     disc = lhs.first_difference(rhs)
@@ -259,18 +262,19 @@ def dim_gf(coset_theta: QSeries, prec) -> QSeries:
 # ----------------------------------------------------------------------
 # closed theta-coset formulas
 
-# realized coset norm classes (r^2 mod 2) for the two complements
+# realized coset norm classes (r^2 mod 2) for the two complements; the
+# prefactor (d, quotient) is the eta quotient divided by the int d
 _THETA_CASES = {
     "A2A2": {
         "modulus": 3,
-        "prefactor": (Fraction(1, 4), ((1, 12), (2, -6))),
+        "prefactor": (4, ((1, 12), (2, -6))),
         "kernel": ((2, 2), (1, -4)),
         "delta_term": ((6, 2), (3, -4)),
         "classes": (Fraction(0), Fraction(2, 3), Fraction(4, 3)),
     },
     "A6": {
         "modulus": 7,
-        "prefactor": (Fraction(1, 8), ((1, 14), (2, -7))),
+        "prefactor": (8, ((1, 14), (2, -7))),
         "kernel": ((2, 1), (1, -2)),
         "delta_term": ((14, 1), (7, -2)),
         "classes": (Fraction(0), Fraction(6, 7), Fraction(10, 7),
@@ -281,11 +285,10 @@ _THETA_CASES = {
 
 @lru_cache(maxsize=4)
 def _theta_expansions(case: str, prec: Fraction):
-    """(prefactor, multisection kernel) of a theta case, expanded once per
-    (case, prec) and shared by all of its cosets."""
+    """(prefactor quotient, multisection kernel) of a theta case, expanded
+    once per (case, prec) and shared by all of its cosets."""
     data = _THETA_CASES[case]
-    scalar, pref = data["prefactor"]
-    prefactor = eta_expand(EtaQuotient(pref), prec).scaled(scalar)
+    prefactor = eta_expand(EtaQuotient(data["prefactor"][1]), prec)
     # the multisection kernel is the delta term with q^m replaced by q,
     # expanded far enough that re-indexing by 1/m still reaches prec
     f = eta_expand(EtaQuotient(data["kernel"]), prec * data["modulus"])
@@ -316,4 +319,6 @@ def theta_coset_formula(case: str, coset_norm_class, prec) -> QSeries:
     picked = f.multisection(m, t).scale_exp(Fraction(1, m)).scaled(m)
     if cls == 0:
         picked = picked + eta_expand(EtaQuotient(data["delta_term"]), prec)
-    return prefactor * picked
+    # the theta series is integral, so the prefactor's divisor divides the
+    # product exactly
+    return (prefactor * picked).exact_div(data["prefactor"][0])

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from operator import mul
+from math import gcd, isqrt, lcm
+from operator import add, mul
 from typing import NamedTuple
 
-from .arith import floor_sqrt
 from .intlinalg import (det, hnf, left_kernel_basis, mat_inv, mat_mul,
                         mat_vec, snf_invariants)
 from .series import QSeries
@@ -198,9 +197,12 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
     ints: with M a common denominator of the completion data, the offset
     centers live on the grid (1/M^2)Z and the partial norms are tracked as
     q * T for a fixed global scale T, so every returned norm is an int.
-    The last coordinate is a loop inside its parent level, not a level of
-    its own.  Given a dict counts, each point only adds one to
-    counts[T*(x+s)^2] and points is empty.
+    Each level's center is a running partial sum, moved by one column step
+    when a higher coordinate moves, and its range of x_i is exact: every x_i
+    with d_i (M^2 x_i + center)^2 <= remaining, from one isqrt.  The last
+    coordinate is a loop inside its parent level, not a level of its own.
+    Given a dict counts, each point only adds one to counts[T*(x+s)^2] and
+    points is empty.
     """
     n = lattice.rank
     d, c = _fp_decompose(lattice.gram)
@@ -212,7 +214,7 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
         dden = dden * f.denominator // gcd(dden, f.denominator)
     dden = dden * max_norm.denominator // gcd(dden, max_norm.denominator)
     T = dden * M ** 4
-    m2, m4 = M * M, M ** 4
+    m2 = M * M
     # integer data: sN = M*s, cN = M*c, dN = d*T/M^4
     sN = [int(f * M) for f in s]
     cN = [[int(c[i][j] * M) for j in range(n)] for i in range(n)]
@@ -222,54 +224,41 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
         return [((), 0)], T
     out = []
     x = [0] * n
-    y = [0] * n  # y[j] = M*(x[j] + s[j])
+    # step[i][k]: how far the center of level k < i moves when x_i grows by 1
+    step = [[cN[k][i] * M for k in range(i)] for i in range(n)]
 
-    def bounds(i, remaining):
-        """(lo, hi, base, di): a range of x_i holding every admissible
-        value, with base = M^2*lo + center for the first one."""
-        ci = cN[i]
-        centerN = M * sN[i] + sum(ci[j] * y[j] for j in range(i + 1, n))
-        di = dN[i]
-        r = floor_sqrt(remaining // (di * m4))
-        lo = -r - 1 + ((-centerN) // m2)    # -r - 1 - ceil(centerN/M^2)
-        hi = r + 1 - centerN // m2
-        return lo, hi, m2 * lo + centerN, di
-
-    def last(remaining):
-        lo, hi, base, di = bounds(0, remaining)
-        top = R0 - remaining
-        if counts is None:
-            for xi in range(lo, hi + 1):
-                used = di * base * base
-                if used <= remaining:
-                    x[0] = xi
-                    out.append((tuple(x), top + used))
-                base += m2
-            x[0] = 0
-        else:
-            get = counts.get
-            for _ in range(lo, hi + 1):
-                used = di * base * base
-                if used <= remaining:
-                    q = top + used
-                    counts[q] = get(q, 0) + 1
-                base += m2
-
-    def recurse(i, remaining):
+    def recurse(i, remaining, centers):
+        """Every x_i..x_0 below the fixed higher coordinates, centers[k]
+        being level k's center numerator M^2*(s_k + sum_{j>k} c_kj (x_j +
+        s_j)) for the fixed coordinates j > i."""
+        center, di = centers[i], dN[i]
+        r = isqrt(remaining // di)
+        lo, hi = -((r + center) // m2), (r - center) // m2
+        z = m2 * lo + center  # M^2 * (x_i + offset)
         if i == 0:
-            last(remaining)
+            top = R0 - remaining
+            if counts is None:
+                for xi in range(lo, hi + 1):
+                    x[0] = xi
+                    out.append((tuple(x), top + di * z * z))
+                    z += m2
+            else:
+                get = counts.get
+                for _ in range(lo, hi + 1):
+                    q = top + di * z * z
+                    counts[q] = get(q, 0) + 1
+                    z += m2
             return
-        lo, hi, base, di = bounds(i, remaining)
+        yi = M * lo + sN[i]
+        below = [centers[k] + cN[k][i] * yi for k in range(i)]
+        col = step[i]
         for xi in range(lo, hi + 1):
-            used = di * base * base
-            if used <= remaining:
-                x[i] = xi
-                y[i] = M * xi + sN[i]
-                recurse(i - 1, remaining - used)
-            base += m2
-        x[i] = 0
+            x[i] = xi
+            recurse(i - 1, remaining - di * z * z, below)
+            z += m2
+            below = list(map(add, below, col))
 
-    recurse(n - 1, R0)
+    recurse(n - 1, R0, [M * f for f in sN])
     # the closure refers to itself; break the cycle so `out` is freed as
     # soon as the caller drops it, not at the next full collection
     del recurse
@@ -302,9 +291,9 @@ def theta_coset(lattice: IntegralLattice, shift, prec) -> QSeries:
     s = [0] * lattice.rank if shift is None else lattice.coords_of(shift)
     counts: dict[int, int] = {}
     _, T = _enumerate_scaled(lattice, s, 2 * prec, counts)
-    # exponents q/2T >= prec are dropped by the truncation
-    return QSeries.from_terms(((Fraction(q, 2 * T), k)
-                               for q, k in counts.items()), trunc=prec)
+    # count k at key q is the term k*q^{q/2T}; keys at or past prec are
+    # dropped by the truncation
+    return QSeries(2 * T, counts, prec)
 
 
 # ----------------------------------------------------------------------

@@ -5,13 +5,22 @@ grid (1/D)*Z together with a truncation bound T: every exponent below T is
 represented exactly, exponents at or above T are unknown.  trunc=None means
 the series is known exactly everywhere (a Puiseux polynomial).
 
+The kernel is integer.  A term is an int key k standing for q^{k/D}; its
+coefficient is an int, or a Fraction only when it is not an integer.  T is
+held as an int pair (numerator, denominator), so every loop bound is the
+int slot count ceil(T*D): slot k is known exactly when k < ceil(T*D).
+Fraction appears only at the API edge (trunc, coeff, items, valuation,
+to_pairs, repr) and in the arithmetic of non-integral coefficients.
+
 All operations are pure and compute the tightest sound truncation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 
 class ZeroLeadingTerm(ArithmeticError):
@@ -30,79 +39,153 @@ class CoefficientUnknown(ValueError):
     """Coefficient lookup at or above the truncation bound."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+def _ratio(x) -> tuple[int, int]:
+    """(numerator, denominator > 0) of an int or Fraction, in lowest terms."""
     if isinstance(x, int):
-        return Fraction(x)
+        return x, 1
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _min_trunc(a: Fraction | None, b: Fraction | None) -> Fraction | None:
+def _coefficient(c):
+    """An int or Fraction coefficient as stored: an int when integral."""
+    if isinstance(c, int):
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
+
+
+def _quotient(a, b):
+    """a/b exactly: an int when it is one, else a Fraction."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coefficient(Fraction(a) / b)
+
+
+# Truncations are int pairs (n, d) with d > 0 standing for n/d; None is +inf.
+
+def _trunc(x):
+    """An API truncation (int, Fraction or None) as a pair or None."""
+    return None if x is None else _ratio(x)
+
+
+def _tsum(t, n: int, d: int):
+    """t + n/d in lowest terms; None when t is None."""
+    if t is None:
+        return None
+    num, den = t[0] * d + n * t[1], t[1] * d
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _tmin(a, b):
     if a is None:
         return b
-    if b is None:
+    if b is None or a[0] * b[1] <= b[0] * a[1]:
         return a
-    return min(a, b)
+    return b
+
+
+def _step(keys, base: int, g: int = 0) -> int:
+    """gcd of g and every key - base; 0 when all are 0."""
+    for k in keys:
+        if g == 1:
+            break
+        g = gcd(g, k - base)
+    return g
+
+
+def _slots(t, D: int):
+    """Number of grid slots k >= 0 below t on the grid 1/D: every int k
+    with k/D < t is below ceil(t*D).  None when t is None."""
+    return None if t is None else -((-t[0] * D) // t[1])
 
 
 class QSeries:
     """Immutable truncated Puiseux series with exact rational data."""
 
-    __slots__ = ("expdenom", "terms", "trunc")
+    __slots__ = ("expdenom", "terms", "_t")
 
-    def __init__(self, expdenom: int, terms: dict[int, Fraction],
-                 trunc: Fraction | None):
+    def __init__(self, expdenom: int, terms: dict, trunc):
         if expdenom <= 0:
             raise ValueError("expdenom must be positive")
-        clean = {k: c for k, c in terms.items()
-                 if c != 0 and (trunc is None or Fraction(k, expdenom) < trunc)}
+        self._set(expdenom, {k: _coefficient(c) for k, c in terms.items()},
+                  _trunc(trunc))
+
+    @classmethod
+    def _new(cls, D: int, terms: dict, t) -> "QSeries":
+        """The series of terms (int keys on the grid 1/D, int or Fraction
+        coefficients) truncated at the pair t, built without checks."""
+        s = object.__new__(cls)
+        s._set(D, terms, t)
+        return s
+
+    def _set(self, D: int, terms: dict, t):
+        lim = _slots(t, D)
+        if lim is None:
+            clean = {k: c for k, c in terms.items() if c}
+        else:
+            clean = {k: c for k, c in terms.items() if c and k < lim}
+        # a coefficient is an int unless it really is a fraction
+        for k, c in clean.items():
+            if type(c) is not int and c.denominator == 1:
+                clean[k] = c.numerator
         # reduce the exponent grid to its coarsest sound denominator
-        g = expdenom
+        g = D
         for k in clean:
             g = gcd(g, k)
             if g == 1:
                 break
         if g > 1:
             clean = {k // g: c for k, c in clean.items()}
-            expdenom //= g
-        object.__setattr__(self, "expdenom", expdenom)
+            D //= g
+        object.__setattr__(self, "expdenom", D)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_t", t)
 
     def __setattr__(self, *a):
         raise AttributeError("QSeries is immutable")
+
+    @property
+    def trunc(self) -> Fraction | None:
+        """Truncation bound: exact below it; None for an exact series."""
+        t = self._t
+        return None if t is None else Fraction(t[0], t[1])
 
     # ------------------------------------------------------------------
     # construction
 
     @classmethod
-    def from_terms(cls, pairs, trunc: Fraction | None = None) -> "QSeries":
+    def from_terms(cls, pairs, trunc=None) -> "QSeries":
         """Build from (exponent, coefficient) pairs with rational exponents."""
-        exps = [( _as_fraction(e), _as_fraction(c)) for e, c in pairs]
+        rows = [(_ratio(e), _coefficient(c)) for e, c in pairs]
         D = 1
-        for e, _ in exps:
-            D = lcm(D, e.denominator)
-        terms: dict[int, Fraction] = {}
-        for e, c in exps:
-            k = e.numerator * (D // e.denominator)
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return cls(D, terms, None if trunc is None else _as_fraction(trunc))
+        for (_, den), _ in rows:
+            D = lcm(D, den)
+        terms: dict = {}
+        for (num, den), c in rows:
+            k = num * (D // den)
+            terms[k] = terms.get(k, 0) + c
+        return cls._new(D, terms, _trunc(trunc))
 
     @classmethod
-    def zero(cls, trunc: Fraction | None = None) -> "QSeries":
-        return cls(1, {}, None if trunc is None else _as_fraction(trunc))
+    def zero(cls, trunc=None) -> "QSeries":
+        return cls._new(1, {}, _trunc(trunc))
 
     @classmethod
-    def one(cls, trunc: Fraction | None = None) -> "QSeries":
+    def one(cls, trunc=None) -> "QSeries":
         return cls.constant(1, trunc)
 
     @classmethod
-    def constant(cls, c, trunc: Fraction | None = None) -> "QSeries":
-        return cls.from_terms([(Fraction(0), _as_fraction(c))], trunc)
+    def constant(cls, c, trunc=None) -> "QSeries":
+        return cls._new(1, {0: _coefficient(c)}, _trunc(trunc))
 
     @classmethod
-    def monomial(cls, exp, coeff=1, trunc: Fraction | None = None) -> "QSeries":
+    def monomial(cls, exp, coeff=1, trunc=None) -> "QSeries":
         return cls.from_terms([(exp, coeff)], trunc)
 
     # ------------------------------------------------------------------
@@ -114,29 +197,24 @@ class QSeries:
             return None
         return Fraction(min(self.terms), self.expdenom)
 
-    def _val_or_trunc(self) -> Fraction | None:
-        """Lower bound for the valuation: min exponent, else trunc (None=+inf)."""
+    def _low(self):
+        """Lower bound for the valuation as a truncation pair: the least
+        exponent, else trunc (None = +inf, an exact zero)."""
         if self.terms:
-            return Fraction(min(self.terms), self.expdenom)
-        return self.trunc  # zero below trunc; None means exact zero
+            return min(self.terms), self.expdenom
+        return self._t
 
-    def coeff(self, exp) -> Fraction:
+    def coeff(self, exp):
         """Exact coefficient at a rational exponent; 0 off the support."""
-        e = _as_fraction(exp)
-        if self.trunc is not None and e >= self.trunc:
-            raise CoefficientUnknown(f"exponent {e} >= trunc {self.trunc}")
-        ke = e * self.expdenom
-        if ke.denominator != 1:
-            return Fraction(0)  # off the exponent grid
-        return self.terms.get(ke.numerator, Fraction(0))
+        return self.coeff_at(*_ratio(exp))
 
     def coeff_at(self, num: int, den: int):
         """coeff(num/den) for ints num and den > 0, building no Fraction:
         the stored coefficient, or 0 off the support."""
-        t = self.trunc
-        if t is not None and num * t.denominator >= t.numerator * den:
+        t = self._t
+        if t is not None and num * t[1] >= t[0] * den:
             raise CoefficientUnknown(
-                f"exponent {Fraction(num, den)} >= trunc {t}")
+                f"exponent {Fraction(num, den)} >= trunc {self.trunc}")
         k, r = divmod(num * self.expdenom, den)
         return 0 if r else self.terms.get(k, 0)
 
@@ -149,30 +227,36 @@ class QSeries:
     # arithmetic
 
     def _aligned(self, other: "QSeries"):
+        """(D, terms of self, terms of other) on their common grid 1/D.
+        A dict already on that grid is returned as is: do not mutate."""
         D = lcm(self.expdenom, other.expdenom)
         fa, fb = D // self.expdenom, D // other.expdenom
-        ta = {k * fa: c for k, c in self.terms.items()}
-        tb = {k * fb: c for k, c in other.terms.items()}
+        ta = self.terms if fa == 1 else \
+            {k * fa: c for k, c in self.terms.items()}
+        tb = other.terms if fb == 1 else \
+            {k * fb: c for k, c in other.terms.items()}
         return D, ta, tb
 
     @staticmethod
     def _promote(x) -> "QSeries":
         if isinstance(x, QSeries):
             return x
-        return QSeries.constant(_as_fraction(x))
+        return QSeries.constant(x)
 
     def __add__(self, other) -> "QSeries":
         other = QSeries._promote(other)
         D, ta, tb = self._aligned(other)
+        out = dict(ta)
+        get = out.get
         for k, c in tb.items():
-            ta[k] = ta.get(k, Fraction(0)) + c
-        return QSeries(D, ta, _min_trunc(self.trunc, other.trunc))
+            out[k] = get(k, 0) + c
+        return QSeries._new(D, out, _tmin(self._t, other._t))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.expdenom, {k: -c for k, c in self.terms.items()},
-                       self.trunc)
+        return QSeries._new(self.expdenom,
+                            {k: -c for k, c in self.terms.items()}, self._t)
 
     def __sub__(self, other) -> "QSeries":
         return self + (-QSeries._promote(other))
@@ -182,40 +266,76 @@ class QSeries:
 
     def scaled(self, c) -> "QSeries":
         """Multiply every coefficient by the rational scalar c."""
-        c = _as_fraction(c)
-        return QSeries(self.expdenom,
-                       {k: c * v for k, v in self.terms.items()}, self.trunc)
+        c = _coefficient(c)
+        return QSeries._new(self.expdenom,
+                            {k: c * v for k, v in self.terms.items()},
+                            self._t)
+
+    def exact_div(self, n: int) -> "QSeries":
+        """Divide every coefficient by the nonzero int n, which must divide
+        each of them in the integers; ArithmeticError otherwise."""
+        out = {}
+        for k, c in self.terms.items():
+            q, r = divmod(c, n)
+            if r:
+                raise ArithmeticError(
+                    f"coefficient {c} at q^{Fraction(k, self.expdenom)} is "
+                    f"not divisible by {n}")
+            out[k] = q
+        return QSeries._new(self.expdenom, out, self._t)
 
     def __mul__(self, other) -> "QSeries":
         if not isinstance(other, QSeries):
             return self.scaled(other)
         D, ta, tb = self._aligned(other)
         # exact below min(T_a + v_b, T_b + v_a)
-        va, vb = self._val_or_trunc(), other._val_or_trunc()
-        cand = None
-        if self.trunc is not None:
-            cand = None if vb is None else self.trunc + vb
-        if other.trunc is not None:
-            c2 = None if va is None else other.trunc + va
-            cand = _min_trunc(cand, c2)
-        trunc = cand
-        lim = None if trunc is None else trunc * D
-        out: dict[int, Fraction] = {}
-        if len(ta) > len(tb):
-            ta, tb = tb, ta
-        # integer coefficients dominate in practice; plain-int accumulation
-        # avoids per-term rational normalization
-        if all(c.denominator == 1 for c in ta.values()) and \
-                all(c.denominator == 1 for c in tb.values()):
-            ta = {k: c.numerator for k, c in ta.items()}
-            tb = {k: c.numerator for k, c in tb.items()}
-        for k1, c1 in ta.items():
-            for k2, c2 in tb.items():
-                k = k1 + k2
-                if lim is not None and k >= lim:
-                    continue
-                out[k] = out.get(k, 0) + c1 * c2
-        return QSeries(D, out, trunc)
+        va, vb = self._low(), other._low()
+        t = _tmin(None if vb is None else _tsum(self._t, *vb),
+                  None if va is None else _tsum(other._t, *va))
+        if not ta or not tb:
+            return QSeries._new(D, {}, t)
+        a0, b0 = min(ta), min(tb)
+        # every product lies below top: the slot limit, or past the last pair
+        top = max(ta) + max(tb) + 1
+        if t is not None:
+            top = min(top, _slots(t, D))
+        # the terms sit on a0 + g*i and b0 + g*j; the products on
+        # a0 + b0 + g*s for the m slots s below top
+        g = _step(tb, b0, _step(ta, a0)) or 1
+        m = max(0, -((a0 + b0 - top) // g))
+        na = min((max(ta) - a0) // g + 1, m)
+        nb = min((max(tb) - b0) // g + 1, m)
+        out = {}
+        if na * nb <= 8 * len(ta) * len(tb):
+            # dense factors (as every eta or cycle product is): each output
+            # slot is one C-level sum over slices of the two slot lists
+            A, B = [0] * na, [0] * nb
+            for k, c in ta.items():
+                i = (k - a0) // g
+                if i < na:
+                    A[i] = c
+            for k, c in tb.items():
+                j = (k - b0) // g
+                if j < nb:
+                    B[nb - 1 - j] = c  # B is stored reversed
+            for s in range(m):
+                lo, hi = max(0, s - nb + 1), min(s, na - 1) + 1
+                out[a0 + b0 + g * s] = sum(map(
+                    mul, A[lo:hi], B[nb - 1 - s + lo:nb - 1 - s + hi]))
+        else:
+            # sparse factors: pairs of terms, each row cut at top
+            if len(ta) > len(tb):
+                ta, tb = tb, ta
+            inner = sorted(tb.items())
+            get = out.get
+            for k1, c1 in ta.items():
+                stop = top - k1
+                for k2, c2 in inner:
+                    if k2 >= stop:
+                        break
+                    k = k1 + k2
+                    out[k] = get(k, 0) + c1 * c2
+        return QSeries._new(D, out, t)
 
     __rmul__ = __mul__
 
@@ -223,42 +343,37 @@ class QSeries:
         """Multiplicative inverse; leading monomial must be nonzero."""
         if not self.terms:
             raise ZeroLeadingTerm("cannot invert a series with no known terms")
-        if self.trunc is None:
+        D = self.expdenom
+        if self._t is None:
             if len(self.terms) == 1:
-                (k,) = self.terms
-                c = self.terms[k]
-                return QSeries(self.expdenom, {-k: Fraction(1) / c}, None)
+                ((k, c),) = self.terms.items()
+                return QSeries._new(D, {-k: _quotient(1, c)}, None)
             raise ValueError("inverse of an exact non-monomial series is "
                              "infinite; restrict() to a truncation first")
-        D = self.expdenom
         k0 = min(self.terms)
-        c0 = self.terms[k0]
-        v = Fraction(k0, D)
-        rel = self.trunc - v          # relative precision of the unit part
-        b = {k - k0: c for k, c in self.terms.items()}  # unit part, b[0] = c0
-        # slots j with j/D < rel, i.e. j < rel*D
-        J = rel * D
-        nslots = -((-J.numerator) // J.denominator)  # ceil(rel*D)
+        # slots j of the unit part with (k0 + j)/D < trunc
+        nslots = _slots(self._t, D) - k0
         if nslots <= 0:
             raise ZeroLeadingTerm("cannot invert: truncation at the valuation")
-        inv0 = Fraction(1) / c0
-        # units with leading coefficient +-1 and integer coefficients invert
-        # in plain ints
-        if abs(c0) == 1 and all(bc.denominator == 1 for bc in b.values()):
-            inv0 = int(inv0)
-            b = {k: bc.numerator for k, bc in b.items()}
-        c: list[Fraction] = [0] * nslots
+        inv0 = _quotient(1, self.terms[k0])
+        # unit part u = sum_i b_i q^{i/D}, b_0 = c0; c = u^{-1} solves
+        # c_j = -inv0 * sum_{0 < i <= j} b_i c_{j-i}
+        b = sorted((k - k0, c) for k, c in self.terms.items()
+                   if 0 < k - k0 < nslots)
+        c = [0] * nslots
         c[0] = inv0
-        bitems = [(j, bc) for j, bc in b.items() if j > 0]
+        used = 0  # b[:used] holds the i <= j
         for j in range(1, nslots):
+            while used < len(b) and b[used][0] <= j:
+                used += 1
             s = 0
-            for i, bc in bitems:
-                if i <= j and c[j - i]:
-                    s += bc * c[j - i]
+            for i, bi in islice(b, used):
+                s += bi * c[j - i]
             c[j] = -inv0 * s
-        # a = q^v u, so a^{-1} = q^{-v} u^{-1}: slot j lands at exponent j/D - v
-        out = {j - k0: cj for j, cj in enumerate(c) if cj}
-        return QSeries(D, out, self.trunc - 2 * v)
+        # a = q^v u, so a^{-1} = q^{-v} u^{-1}: slot j lands at exponent
+        # j/D - v, and the result is exact below trunc - 2v
+        return QSeries._new(D, {j - k0: cj for j, cj in enumerate(c) if cj},
+                            _tsum(self._t, -2 * k0, D))
 
     def __pow__(self, e: int) -> "QSeries":
         if not isinstance(e, int):
@@ -278,13 +393,16 @@ class QSeries:
 
     def scale_exp(self, k) -> "QSeries":
         """Formal substitution q -> q^k for a positive rational k."""
-        k = _as_fraction(k)
-        if k <= 0:
+        p, q = _ratio(k)
+        if p <= 0:
             raise ValueError("scale_exp: k must be positive")
-        p, q = k.numerator, k.denominator
-        terms = {key * p: c for key, c in self.terms.items()}
-        trunc = None if self.trunc is None else self.trunc * k
-        return QSeries(self.expdenom * q, terms, trunc)
+        t = self._t
+        if t is not None:
+            num, den = t[0] * p, t[1] * q
+            g = gcd(num, den)
+            t = num // g, den // g
+        return QSeries._new(self.expdenom * q,
+                            {key * p: c for key, c in self.terms.items()}, t)
 
     def multisection(self, m: int, r: int) -> "QSeries":
         """Sub-series of terms with integer exponent congruent to r mod m."""
@@ -293,37 +411,38 @@ class QSeries:
         if self.expdenom != 1:
             raise NonIntegerExponents(
                 f"multisection needs integer exponents, grid is 1/{self.expdenom}")
-        keep = {k: c for k, c in self.terms.items() if k % m == r % m}
-        return QSeries(1, keep, self.trunc)
+        r %= m
+        return QSeries._new(1, {k: c for k, c in self.terms.items()
+                                if k % m == r}, self._t)
 
     def restrict(self, trunc) -> "QSeries":
         """Forget all information at or above the given exponent."""
-        t = _as_fraction(trunc)
-        if self.trunc is not None and t > self.trunc:
+        t = _ratio(trunc)
+        if self._t is not None and _tmin(t, self._t) is not t:
             raise ValueError("restrict cannot extend the known range")
-        return QSeries(self.expdenom, dict(self.terms), t)
+        return QSeries._new(self.expdenom, self.terms, t)
 
     # ------------------------------------------------------------------
     # comparison and output
 
     def __eq__(self, other) -> bool:
         other = QSeries._promote(other)
-        T = _min_trunc(self.trunc, other.trunc)
-        if T is None:
-            return self.items() == other.items()
-        a = [(e, c) for e, c in self.items() if e < T]
-        b = [(e, c) for e, c in other.items() if e < T]
+        t = _tmin(self._t, other._t)
+        D, ta, tb = self._aligned(other)
+        if t is None:
+            return ta == tb
+        lim = _slots(t, D)
+        a = {k: c for k, c in ta.items() if k < lim}
+        b = {k: c for k, c in tb.items() if k < lim}
         if not a and not b:
             raise EmptyComparisonRange(
-                f"no known coefficients below common trunc {T}")
+                f"no known coefficients below common trunc "
+                f"{Fraction(t[0], t[1])}")
         return a == b
 
     def first_difference(self, other) -> Fraction | None:
         """Smallest exponent in the common known range where the two differ."""
-        other = QSeries._promote(other)
-        diff = self - other
-        v = diff.valuation()
-        return v
+        return (self - QSeries._promote(other)).valuation()
 
     def to_pairs(self) -> list[tuple[str, str]]:
         """Serialization: sorted (exponent, coefficient) as exact strings."""
@@ -336,7 +455,7 @@ class QSeries:
         if len(self.terms) > 8:
             parts.append("...")
         body = " + ".join(parts) if parts else "0"
-        t = "" if self.trunc is None else f" + O(q^{self.trunc})"
+        t = "" if self._t is None else f" + O(q^{self.trunc})"
         return f"QSeries({body}{t})"
 
     __hash__ = None

@@ -1,11 +1,12 @@
 """Command-line interface: exit codes, report shape, config handling."""
 
+import argparse
 import json
 import re
 
 import pytest
 
-from superdenom.cli import canonical_json, main
+from superdenom.cli import READS, build_parser, canonical_json, main
 from superdenom.etaq import named_series
 
 
@@ -433,3 +434,33 @@ class TestPinnedOutput:
     def test_help_exits_zero(self, capsys, argv):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.startswith("usage: superdenom")
+
+
+class TestHelpNamesReaders:
+    """Each option's help names the targets of its command that read it,
+    as READS lists them; an option none of them reads is not shown."""
+
+    OPTIONS = ("order", "height", "prec", "max_norm", "jobs")
+
+    @staticmethod
+    def _readers(help_text):
+        m = re.fullmatch(r".*\(read by: (.*)\)", help_text, re.S)
+        return m.group(1).split(", ")
+
+    @pytest.mark.parametrize("key", sorted(READS, key=str),
+                             ids=lambda k: " ".join(filter(None, k)))
+    def test_help_text_matches_reads(self, capsys, key):
+        command, what = key
+        name = " ".join(filter(None, key))
+        actions = {a.dest: a for a in build_parser()[1][command]._actions}
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        for dest in self.OPTIONS:
+            flag = "--" + dest.replace("_", "-")
+            if not any(dest in READS[k] for k in READS if k[0] == command):
+                assert actions[dest].help == argparse.SUPPRESS
+                assert flag not in out, (command, flag)
+                continue
+            assert flag in out
+            assert (name in self._readers(actions[dest].help)) == \
+                (dest in READS[key]), (name, dest)

@@ -4,18 +4,37 @@ from fractions import Fraction
 
 import pytest
 
+import series_oracle as oracle
+from series_oracle import euler_product
+from superdenom import etaq
 from superdenom.etaq import (SHAPE_1171, SHAPE_1232, SHAPE_1_8, CycleShape,
-                             EtaQuotient, InvalidClass, cycle_product,
-                             dim_gf, eta_expand, euler_product, named_series,
-                             tail_series, theta_coset_formula, trace_gf_even,
-                             trace_gf_odd, verify_susy_identity)
+                             EtaQuotient, InvalidClass,
+                             check_raw_product_identity, cycle_product,
+                             dim_gf, eta_expand, named_series, tail_series,
+                             theta_coset_formula, trace_gf_even, trace_gf_odd,
+                             verify_susy_identity)
 from superdenom.series import QSeries
 
 F = Fraction
 
 
+# every eta quotient the package expands
+SHIPPED_QUOTIENTS = sorted(
+    {tuple(f) for _, f in etaq._NAMED_QUOTIENTS.values()}
+    | {data[key] for data in etaq._THETA_CASES.values()
+       for key in ("kernel", "delta_term")}
+    | {data["prefactor"][1] for data in etaq._THETA_CASES.values()})
+PRECS = (0, F(1, 2), F(7, 3), 13, F(41, 2), 200)
+
+
+def _same_series(got, want):
+    assert (got.expdenom, got.terms, got.trunc) == \
+        (want.expdenom, want.terms, want.trunc)
+
+
 class TestEtaExpand:
     def test_euler_product_pentagonal(self):
+        """The oracle's pentagonal factor, which its eta expansion powers."""
         e = euler_product(1, F(13))
         coeffs = [e.coeff(k) for k in range(13)]
         assert coeffs == [1, -1, -1, 0, 0, 1, 0, 1, 0, 0, 0, 0, -1]
@@ -29,6 +48,19 @@ class TestEtaExpand:
         # eta(q)^2/eta(q^2): leading exponent 0, integer series
         s = eta_expand(EtaQuotient(((1, 2), (2, -1))), F(6))
         assert [s.coeff(k) for k in range(6)] == [1, -2, 0, 0, 2, 0]
+
+    @pytest.mark.parametrize("factors", SHIPPED_QUOTIENTS, ids=str)
+    def test_log_derivative_matches_pentagonal_powers(self, factors):
+        """Miller's recurrence against the product of pentagonal-series
+        powers, at every test precision above the leading exponent."""
+        spec = EtaQuotient(factors)
+        for prec in PRECS:
+            if prec <= spec.leading_exponent:
+                with pytest.raises(ValueError):
+                    eta_expand(spec, prec)
+                continue
+            _same_series(eta_expand(spec, prec),
+                         oracle.eta_expand(spec, prec))
 
     def test_distinct_scales_required(self):
         with pytest.raises(ValueError):
@@ -123,6 +155,16 @@ class TestCycleProducts:
             assert (got.expdenom, got.terms, got.trunc) == \
                 (want.expdenom, want.terms, want.trunc), prec
 
+    @pytest.mark.parametrize("shape", [SHAPE_1_8, SHAPE_1232, SHAPE_1171],
+                             ids=lambda s: s.label())
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("half_shift", [False, True])
+    def test_whole_list_update_matches_per_slot_loop(self, shape, sign,
+                                                     half_shift):
+        for prec in PRECS:
+            _same_series(cycle_product(shape, sign, half_shift, prec),
+                         oracle.cycle_product(shape, sign, half_shift, prec))
+
     def test_sign_must_be_unit(self):
         with pytest.raises(ValueError):
             cycle_product(SHAPE_1232, 2, False, F(5))
@@ -147,6 +189,35 @@ class TestSusyIdentities:
         even = trace_gf_even(SHAPE_1_8, F(10))
         target = named_series("fake_c", F(10)) * QSeries.monomial(F(1, 2))
         assert even.first_difference(target) is None
+
+
+class TestExactDivisions:
+    """The halves and the theta prefactors are exact integer divisions: an
+    indivisible coefficient raises instead of giving a rounded series."""
+
+    def test_odd_fermion_difference_raises(self, monkeypatch):
+        real = etaq.cycle_product
+
+        def bumped(shape, sign, half_shift, prec):
+            p = real(shape, sign, half_shift, prec)
+            if sign == 1 and half_shift:
+                p = p + QSeries.monomial(F(3, 2))
+            return p
+
+        monkeypatch.setattr(etaq, "cycle_product", bumped)
+        for check in (lambda: trace_gf_even(SHAPE_1232, F(10)),
+                      lambda: check_raw_product_identity(SHAPE_1232, 2,
+                                                         F(10)),
+                      lambda: verify_susy_identity(3, prec=10)):
+            with pytest.raises(ArithmeticError, match="not divisible by 2"):
+                check()
+
+    def test_indivisible_theta_prefactor_raises(self, monkeypatch):
+        case = dict(etaq._THETA_CASES["A6"])
+        case["prefactor"] = (16, case["prefactor"][1])
+        monkeypatch.setitem(etaq._THETA_CASES, "A6", case)
+        with pytest.raises(ArithmeticError, match="not divisible by 16"):
+            theta_coset_formula("A6", 0, F(3))
 
 
 class TestThetaFormula:

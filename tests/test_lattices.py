@@ -1,7 +1,8 @@
 """Integer linear algebra and the lattice engine."""
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import product
+from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
 
@@ -150,6 +151,28 @@ class TestEnumeration:
         a = enumerate_coset(f, None, 2)
         assert a == sorted(a)
         assert len(a) == 241  # 240 roots plus zero
+
+    @pytest.mark.parametrize("order,max_norm", [(3, 6), (7, 2)])
+    def test_matches_box_search(self, twists, order, max_norm):
+        """Every coset of the complement against a scan of a box that holds
+        all (x + s)^2 <= N: |x_i + s_i| <= sqrt(N * (Gram^-1)_ii)."""
+        lat = twists[order].complement
+        g, ginv = lat.gram_int(), lat.gram_inv()
+        for _, shift in sorted(twists[order].shift_table.items()):
+            s = lat.coords_of(shift)
+            M = lcm(1, *(x.denominator for x in s))
+            radii = [isqrt(floor(max_norm * ginv[i][i])) + 1
+                     for i in range(lat.rank)]
+            box = product(*(range(floor(-x - r), ceil(-x + r) + 1)
+                            for x, r in zip(s, radii)))
+            sM = [int(M * x) for x in s]
+            want = []
+            for x in box:
+                v = [M * xi + si for xi, si in zip(x, sM)]
+                if sum(vi * _dot(row, v) for vi, row in zip(v, g)) <= \
+                        max_norm * M * M:
+                    want.append(x)
+            assert want and enumerate_coset(lat, shift, max_norm) == want
 
 
 class TestLorentzian:

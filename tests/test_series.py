@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import superdenom.series as series
+from series_oracle import FractionSeries
 from superdenom.series import (CoefficientUnknown, EmptyComparisonRange,
                                NonIntegerExponents, QSeries, ZeroLeadingTerm)
 
@@ -104,6 +106,19 @@ class TestArithmetic:
         assert (m ** 3).items() == [(F(3, 2), F(1))]
         assert (m ** -2).items() == [(F(-1), F(1))]
 
+    def test_exact_div(self):
+        s = S([(0, 4), (F(1, 2), -6)], trunc=F(7, 3))
+        assert s.exact_div(2).to_pairs() == [("0", "2"), ("1/2", "-3")]
+        assert s.exact_div(-2).trunc == F(7, 3)
+
+    @pytest.mark.parametrize("pairs,n", [([(0, 2), (1, 3)], 2),
+                                         ([(0, 4), (2, F(1, 2))], 1)])
+    def test_exact_div_remainder_raises(self, pairs, n):
+        """A coefficient n does not divide in the integers, a Fraction
+        among them, raises rather than rounding."""
+        with pytest.raises(ArithmeticError, match=f"not divisible by {n}"):
+            S(pairs, trunc=F(5)).exact_div(n)
+
     def test_scale_exp(self):
         s = S([(2, 5)], trunc=F(4)).scale_exp(F(1, 3))
         assert s.coeff(F(2, 3)) == 5
@@ -198,3 +213,125 @@ class TestRingAxioms:
                        if part.trunc is None or e < part.trunc)
         except CoefficientUnknown:
             pass
+
+
+# ----------------------------------------------------------------------
+# the integer kernel against the dict-of-Fraction kernel it replaced
+
+_grid_exps = st.builds(F, st.integers(-6, 24), st.sampled_from([1, 2, 3, 6]))
+_rational_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3])))
+_truncs = st.one_of(st.none(), st.builds(F, st.integers(-2, 30),
+                                         st.sampled_from([1, 2, 3, 5])))
+# sparse: a few terms anywhere on a fine grid; dense: a run of consecutive
+# slots, as eta and cycle products fill them
+_sparse_pairs = st.lists(st.tuples(_grid_exps, _rational_coeffs),
+                         max_size=8)
+_dense_pairs = st.builds(
+    lambda start, den, cs: [(F(start + i, den), c) for i, c in enumerate(cs)],
+    st.integers(-3, 6), st.sampled_from([1, 2]),
+    st.lists(_rational_coeffs, min_size=1, max_size=24))
+_series = st.tuples(st.one_of(_sparse_pairs, _dense_pairs), _truncs)
+
+
+def _both(spec):
+    pairs, trunc = spec
+    return (QSeries.from_terms(pairs, trunc),
+            FractionSeries.from_terms(pairs, trunc))
+
+
+def _outcome(f):
+    """f()'s value, or the type of the ArithmeticError or ValueError."""
+    try:
+        return f()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+def _agree(new, old):
+    """Same result from the integer kernel (new) and the oracle (old)."""
+    if isinstance(old, type):
+        assert new is old
+        return
+    assert (new.expdenom, new.terms, new.trunc, new.to_pairs()) == \
+        (old.expdenom, old.terms, old.trunc, old.to_pairs())
+    # an int unless it really is a fraction
+    assert all(type(c) is int or c.denominator != 1
+               for c in new.terms.values())
+
+
+class TestFractionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_series, _series)
+    def test_ring_operations(self, a, b):
+        (x, xo), (y, yo) = _both(a), _both(b)
+        _agree(x, xo)
+        _agree(x * y, xo * yo)
+        _agree(x + y, xo + yo)
+        _agree(x - y, xo - yo)
+        assert x.first_difference(y) == xo.first_difference(yo)
+        assert _outcome(lambda: x == y) == _outcome(lambda: xo == yo)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_series, st.integers(-3, 3))
+    def test_inverse_and_powers(self, a, e):
+        """Leading coefficients other than +-1 included."""
+        x, xo = _both(a)
+        _agree(_outcome(x.inverse), _outcome(xo.inverse))
+        _agree(_outcome(lambda: x ** e), _outcome(lambda: xo ** e))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_series, st.builds(F, st.integers(1, 7), st.integers(1, 4)),
+           st.integers(1, 4), st.integers(-5, 5), _truncs)
+    def test_unary_operations(self, a, k, m, r, cut):
+        x, xo = _both(a)
+        _agree(x.scale_exp(k), xo.scale_exp(k))
+        _agree(_outcome(lambda: x.multisection(m, r)),
+               _outcome(lambda: xo.multisection(m, r)))
+        if cut is not None:
+            _agree(_outcome(lambda: x.restrict(cut)),
+                   _outcome(lambda: xo.restrict(cut)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_series)
+    def test_coefficient_lookup(self, a):
+        x, xo = _both(a)
+        for num in range(-14, 64, 3):
+            for den in (1, 2, 3, 5):
+                got = _outcome(lambda: x.coeff_at(num, den))
+                want = _outcome(lambda: xo.coeff(F(num, den)))
+                assert got == want, (num, den)
+
+
+class TestIntegerKernel:
+    def test_integer_arithmetic_builds_no_fraction(self, monkeypatch):
+        """Products, sums, inverses and powers of integer series with an
+        integral leading coefficient build no Fraction in the kernel."""
+        a = QSeries(1, {k: (-1) ** k * (k + 1) for k in range(200)}, 200)
+        b = QSeries(1, {k: 3 * k - 7 for k in range(200)}, F(401, 2))
+        sparse = QSeries(1, {7 * k * k: k + 1 for k in range(200)}, None)
+        made = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(series, "Fraction", Counting)
+        ops = {"dense product": lambda: a * b,
+               "sparse product": lambda: sparse * sparse,
+               "sum": lambda: a + b - sparse,
+               "inverse": a.inverse,
+               "powers": lambda: (a ** 3, a ** -2)}
+        results = {name: f() for name, f in ops.items()}
+        assert made == []
+        monkeypatch.undo()
+        ao, bo, so = (FractionSeries(x.expdenom, x.terms, x.trunc)
+                      for x in (a, b, sparse))
+        _agree(results["dense product"], ao * bo)
+        _agree(results["sparse product"], so * so)
+        _agree(results["sum"], ao + bo - so)
+        _agree(results["inverse"], ao.inverse())
+        _agree(results["powers"][0], ao ** 3)
+        _agree(results["powers"][1], ao ** -2)
