@@ -105,9 +105,6 @@ def eta_expand(spec: EtaQuotient, prec) -> QSeries:
     return QSeries(1, dict(enumerate(F)), rel) * QSeries.monomial(lead)
 
 
-# the trace series and the susy checks ask for the same products several
-# times over; a product is immutable, so one copy serves every caller
-@lru_cache(maxsize=8)
 def cycle_product(shape: CycleShape, sign: int, half_shift: bool,
                   prec) -> QSeries:
     """prod_{n>=1} prod_a (1 + sign*q^{a*(n-shift)})^{b_a}, shift 0 or 1/2.
@@ -176,6 +173,33 @@ def c_series(order: int, prec) -> QSeries:
 # ----------------------------------------------------------------------
 # trace and dimension generating functions
 
+def _fermion_half(shape: CycleShape, prec: Fraction) -> QSeries:
+    """(P+ - P-)/2 with P+- = cycle_product(shape, +-1, True, prec).  The
+    difference is even, so the half is an exact integer division that
+    raises ArithmeticError on an odd coefficient."""
+    return (cycle_product(shape, +1, True, prec)
+            - cycle_product(shape, -1, True, prec)).exact_div(2)
+
+
+def _boson_inverse(shape: CycleShape, prec: Fraction) -> QSeries:
+    return cycle_product(shape, -1, False, prec).inverse()
+
+
+def _odd_gf(p_plus: QSeries, boson_inverse: QSeries, trace_l: int):
+    """trace_l q^{1/2} P+/P0 from P+ = cycle_product(shape, +1, False,
+    prec) and the inverse of the boson product P0."""
+    gf = p_plus * boson_inverse
+    return gf.scaled(trace_l) * QSeries.monomial(Fraction(1, 2))
+
+
+def _raw_check(fermion_half: QSeries, p_plus: QSeries, trace_l: int):
+    """(ok, first discrepancy) of q^{-1/2} (P+ - P-)/2 = trace_l P+.  Both
+    sides are compared below the left side's truncation, prec - 1/2."""
+    lhs = fermion_half * QSeries.monomial(Fraction(-1, 2))
+    disc = lhs.first_difference(p_plus.scaled(trace_l))
+    return disc is None, disc
+
+
 def trace_gf_even(shape: CycleShape, prec) -> QSeries:
     """Generating function of the even-part twisted traces.
 
@@ -183,10 +207,7 @@ def trace_gf_even(shape: CycleShape, prec) -> QSeries:
     twist on the even graded piece at a fixed-lattice vector of norm n.
     """
     prec = Fraction(prec)
-    p_plus = cycle_product(shape, +1, True, prec)
-    p_minus = cycle_product(shape, -1, True, prec)
-    p_zero = cycle_product(shape, -1, False, prec)
-    return (p_plus - p_minus).exact_div(2) * p_zero.inverse()
+    return _fermion_half(shape, prec) * _boson_inverse(shape, prec)
 
 
 def trace_gf_odd(shape: CycleShape, trace_l: int, prec) -> QSeries:
@@ -198,10 +219,8 @@ def trace_gf_odd(shape: CycleShape, trace_l: int, prec) -> QSeries:
     prec = Fraction(prec)
     if trace_l == 0:
         return QSeries.zero(trunc=prec)
-    p_plus = cycle_product(shape, +1, False, prec)
-    p_zero = cycle_product(shape, -1, False, prec)
-    gf = p_plus * p_zero.inverse()
-    return gf.scaled(trace_l) * QSeries.monomial(Fraction(1, 2))
+    return _odd_gf(cycle_product(shape, +1, False, prec),
+                   _boson_inverse(shape, prec), trace_l)
 
 
 def check_trace_identity(shape: CycleShape, trace_l: int, prec):
@@ -221,31 +240,33 @@ def check_raw_product_identity(shape: CycleShape, trace_l: int, prec):
     (1/2q^{1/2}) * (P+ - P-) = trace_l * prod_a (1 + q^{a n})^{b_a}
     """
     prec = Fraction(prec)
-    p_plus = cycle_product(shape, +1, True, prec)
-    p_minus = cycle_product(shape, -1, True, prec)
-    lhs = (p_plus - p_minus).exact_div(2) * QSeries.monomial(Fraction(-1, 2))
-    rhs = cycle_product(shape, +1, False, prec - Fraction(1, 2)) \
-        .scaled(trace_l)
-    disc = lhs.first_difference(rhs)
-    return disc is None, disc
+    return _raw_check(_fermion_half(shape, prec),
+                      cycle_product(shape, +1, False, prec), trace_l)
 
 
 def verify_susy_identity(order: int, prec=50):
     """Twisted Jacobi / supersymmetry identity for a shipped twist order.
 
     Returns (ok, report) with report listing each sub-check and its first
-    discrepancy exponent, if any.
+    discrepancy exponent, if any.  The two checks share their products:
+    four cycle products and one inversion in all.
     """
     shapes = {1: SHAPE_1_8, 3: SHAPE_1232, 7: SHAPE_1171}
     if order not in shapes:
         raise ValueError(f"unsupported twist order {order}")
     shape = shapes[order]
-    checks = []
-    ok1, d1 = check_trace_identity(shape, shape.trace, prec)
-    checks.append(("trace_gf_even_equals_odd", ok1, d1))
-    ok2, d2 = check_raw_product_identity(shape, shape.trace, prec)
-    checks.append(("raw_product_identity", ok2, d2))
-    return ok1 and ok2, checks
+    prec = Fraction(prec)
+    half = _fermion_half(shape, prec)
+    p_plus = cycle_product(shape, +1, False, prec)
+    boson_inverse = _boson_inverse(shape, prec)
+    # every shipped shape has a nonzero trace, so the odd side is
+    # trace_gf_odd's product formula
+    d1 = (half * boson_inverse).first_difference(
+        _odd_gf(p_plus, boson_inverse, shape.trace))
+    ok2, d2 = _raw_check(half, p_plus, shape.trace)
+    checks = [("trace_gf_even_equals_odd", d1 is None, d1),
+              ("raw_product_identity", ok2, d2)]
+    return d1 is None and ok2, checks
 
 
 def dim_gf(coset_theta: QSeries, prec) -> QSeries:

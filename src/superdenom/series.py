@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import mul
 
 
 class ZeroLeadingTerm(ArithmeticError):
@@ -48,22 +47,14 @@ def _ratio(x) -> tuple[int, int]:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _coefficient(c):
-    """An int or Fraction coefficient as stored: an int when integral."""
-    if isinstance(c, int):
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"expected int or Fraction, got {type(c).__name__}")
-
-
 def _quotient(a, b):
     """a/b exactly: an int when it is one, else a Fraction."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         if not r:
             return q
-    return _coefficient(Fraction(a) / b)
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
 
 
 # Truncations are int pairs (n, d) with d > 0 standing for n/d; None is +inf.
@@ -90,15 +81,6 @@ def _tmin(a, b):
     return b
 
 
-def _step(keys, base: int, g: int = 0) -> int:
-    """gcd of g and every key - base; 0 when all are 0."""
-    for k in keys:
-        if g == 1:
-            break
-        g = gcd(g, k - base)
-    return g
-
-
 def _slots(t, D: int):
     """Number of grid slots k >= 0 below t on the grid 1/D: every int k
     with k/D < t is below ceil(t*D).  None when t is None."""
@@ -113,13 +95,12 @@ class QSeries:
     def __init__(self, expdenom: int, terms: dict, trunc):
         if expdenom <= 0:
             raise ValueError("expdenom must be positive")
-        self._set(expdenom, {k: _coefficient(c) for k, c in terms.items()},
-                  _trunc(trunc))
+        self._set(expdenom, terms, _trunc(trunc))
 
     @classmethod
     def _new(cls, D: int, terms: dict, t) -> "QSeries":
         """The series of terms (int keys on the grid 1/D, int or Fraction
-        coefficients) truncated at the pair t, built without checks."""
+        coefficients) truncated at the pair t."""
         s = object.__new__(cls)
         s._set(D, terms, t)
         return s
@@ -130,7 +111,8 @@ class QSeries:
             clean = {k: c for k, c in terms.items() if c}
         else:
             clean = {k: c for k, c in terms.items() if c and k < lim}
-        # a coefficient is an int unless it really is a fraction
+        # every constructor passes here: a coefficient is stored as an int
+        # unless it really is a fraction
         for k, c in clean.items():
             if type(c) is not int and c.denominator == 1:
                 clean[k] = c.numerator
@@ -162,7 +144,7 @@ class QSeries:
     @classmethod
     def from_terms(cls, pairs, trunc=None) -> "QSeries":
         """Build from (exponent, coefficient) pairs with rational exponents."""
-        rows = [(_ratio(e), _coefficient(c)) for e, c in pairs]
+        rows = [(_ratio(e), c) for e, c in pairs]
         D = 1
         for (_, den), _ in rows:
             D = lcm(D, den)
@@ -182,7 +164,7 @@ class QSeries:
 
     @classmethod
     def constant(cls, c, trunc=None) -> "QSeries":
-        return cls._new(1, {0: _coefficient(c)}, _trunc(trunc))
+        return cls._new(1, {0: c}, _trunc(trunc))
 
     @classmethod
     def monomial(cls, exp, coeff=1, trunc=None) -> "QSeries":
@@ -266,7 +248,6 @@ class QSeries:
 
     def scaled(self, c) -> "QSeries":
         """Multiply every coefficient by the rational scalar c."""
-        c = _coefficient(c)
         return QSeries._new(self.expdenom,
                             {k: c * v for k, v in self.terms.items()},
                             self._t)
@@ -294,47 +275,23 @@ class QSeries:
                   None if va is None else _tsum(other._t, *va))
         if not ta or not tb:
             return QSeries._new(D, {}, t)
-        a0, b0 = min(ta), min(tb)
-        # every product lies below top: the slot limit, or past the last pair
+        # pairs of terms, each row cut where its products reach the slot
+        # limit (or pass the last pair when the product is exact)
         top = max(ta) + max(tb) + 1
         if t is not None:
             top = min(top, _slots(t, D))
-        # the terms sit on a0 + g*i and b0 + g*j; the products on
-        # a0 + b0 + g*s for the m slots s below top
-        g = _step(tb, b0, _step(ta, a0)) or 1
-        m = max(0, -((a0 + b0 - top) // g))
-        na = min((max(ta) - a0) // g + 1, m)
-        nb = min((max(tb) - b0) // g + 1, m)
+        if len(ta) > len(tb):
+            ta, tb = tb, ta
+        inner = sorted(tb.items())
         out = {}
-        if na * nb <= 8 * len(ta) * len(tb):
-            # dense factors (as every eta or cycle product is): each output
-            # slot is one C-level sum over slices of the two slot lists
-            A, B = [0] * na, [0] * nb
-            for k, c in ta.items():
-                i = (k - a0) // g
-                if i < na:
-                    A[i] = c
-            for k, c in tb.items():
-                j = (k - b0) // g
-                if j < nb:
-                    B[nb - 1 - j] = c  # B is stored reversed
-            for s in range(m):
-                lo, hi = max(0, s - nb + 1), min(s, na - 1) + 1
-                out[a0 + b0 + g * s] = sum(map(
-                    mul, A[lo:hi], B[nb - 1 - s + lo:nb - 1 - s + hi]))
-        else:
-            # sparse factors: pairs of terms, each row cut at top
-            if len(ta) > len(tb):
-                ta, tb = tb, ta
-            inner = sorted(tb.items())
-            get = out.get
-            for k1, c1 in ta.items():
-                stop = top - k1
-                for k2, c2 in inner:
-                    if k2 >= stop:
-                        break
-                    k = k1 + k2
-                    out[k] = get(k, 0) + c1 * c2
+        get = out.get
+        for k1, c1 in ta.items():
+            stop = top - k1
+            for k2, c2 in inner:
+                if k2 >= stop:
+                    break
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
         return QSeries._new(D, out, t)
 
     __rmul__ = __mul__

@@ -184,6 +184,36 @@ class TestSusyIdentities:
         odd = trace_gf_odd(bad, bad.trace, F(10))
         assert even.first_difference(odd) is not None
 
+    def test_checks_share_their_products(self, monkeypatch):
+        """verify_susy_identity builds each product and the boson inverse
+        once, and reports what the two public checks report, also where
+        a perturbed product makes both of them fail."""
+        real, calls, inverses = etaq.cycle_product, [], []
+        real_inverse = QSeries.inverse
+
+        def bumped(shape, sign, half_shift, prec):
+            calls.append((sign, half_shift, prec))
+            p = real(shape, sign, half_shift, prec)
+            if sign == 1 and not half_shift:
+                p = p + QSeries.monomial(5)
+            return p
+
+        def counted(self):
+            inverses.append(self)
+            return real_inverse(self)
+
+        monkeypatch.setattr(etaq, "cycle_product", bumped)
+        monkeypatch.setattr(QSeries, "inverse", counted)
+        ok, checks = verify_susy_identity(3, prec=20)
+        assert sorted(calls) == [(-1, False, 20), (-1, True, 20),
+                                 (1, False, 20), (1, True, 20)]
+        assert len(inverses) == 1
+        want = [etaq.check_trace_identity(SHAPE_1232, 2, F(20)),
+                check_raw_product_identity(SHAPE_1232, 2, F(20))]
+        assert not ok
+        assert [(c_ok, disc) for _, c_ok, disc in checks] == want
+        assert all(disc is not None for _, disc in want)
+
     def test_untwisted_is_jacobi(self):
         # even trace gf for 1^8 equals q^{1/2} * fake_c
         even = trace_gf_even(SHAPE_1_8, F(10))
