@@ -289,6 +289,16 @@ def _read_config(path) -> dict:
             for section in cp.sections() for k, v in cp.items(section)}
 
 
+class _Store(argparse.Action):
+    """argparse's store action that also adds the option's dest to the
+    namespace's `given` set, so that an option counts as given however it
+    was spelled: abbreviated, or as --flag=value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 def build_parser():
     """The top-level parser and its subcommand parsers by name."""
     p = argparse.ArgumentParser(
@@ -298,6 +308,10 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, command, order=3, formats=("text", "json", "csv")):
+        # every option below stores through _Store
+        sp.register("action", None, _Store)
+        sp.set_defaults(given=frozenset())
+
         def read_by(dest, text):
             """text plus the targets of command that read dest; hidden when
             none does (the option stays, so config keys stay valid)."""
@@ -316,7 +330,7 @@ def build_parser():
             "max_norm", "list only the rows with -alpha^2 <= MAX_NORM"))
         sp.add_argument("--format", choices=formats, default="text")
         sp.add_argument("--jobs", type=int, default=1, help=read_by(
-            "jobs", "chunks of the factor list"))
+            "jobs", "accepted and echoed in the report; no effect"))
         sp.add_argument("--out")
         sp.add_argument("--config",
                         help="INI-style key=value defaults (flags win)")
@@ -336,10 +350,12 @@ def build_parser():
 
 
 def parse_args(argv) -> argparse.Namespace:
-    """Parse argv; with --config, parse it again with the file's entries as
-    the subcommand's defaults, so argparse converts them and flags win.
+    """Parse argv with one parser tree; with --config, parse it again with
+    the file's entries as the subcommand's defaults, so argparse converts
+    them and flags win.
 
-    A config fault exits through argparse with status 2, as a bad flag does.
+    A config fault exits through argparse with status 2, as a bad flag does,
+    and so does an option on argv that the subcommand does not read.
     """
     parser, commands = build_parser()
     args = parser.parse_args(argv)
@@ -361,8 +377,8 @@ def parse_args(argv) -> argparse.Namespace:
         if args.format not in formats:
             sp.error(f"config format: invalid choice: {args.format!r} "
                      f"(choose from {', '.join(formats)})")
-    unread = sorted(_given_options(argv, args.command)
-                    - READS[_what(args)] - {"format", "out", "config"})
+    unread = sorted(args.given - READS[_what(args)]
+                    - {"format", "out", "config"})
     if unread:
         commands[args.command].error(
             f"{' '.join(filter(None, _what(args)))} does not read "
@@ -370,16 +386,6 @@ def parse_args(argv) -> argparse.Namespace:
     if args.height is None:
         args.height = 4 if args.order == 1 else 6
     return args
-
-
-def _given_options(argv, command) -> set:
-    """Dests of the options that appear on argv, parsed again with no
-    defaults, so that abbreviations and --flag=value count too."""
-    parser, commands = build_parser()
-    for action in commands[command]._actions:
-        action.default = argparse.SUPPRESS
-    return vars(parser.parse_args(argv)).keys() - {"command", "target",
-                                                   "kind", "series"}
 
 
 def _what(cfg):

@@ -1,23 +1,34 @@
 """Lattice-graded expansion of the (twisted) denominator identities.
 
-The product side F is a product over positive-cone points alpha of
-(1 - e^alpha)^mult_even / (1 + e^alpha)^mult_odd, truncated by the height
+The superalgebra has no real roots and Weyl vector 0, so every factor of the
+product side and every term of the sum side lies on L = fixed + II_{1,1}.
+The product side F is a product over the roots alpha = (r; m, n) of L^+ of
+(1 - e^alpha)^mult / (1 + e^alpha)^mult, truncated by the height
 h(alpha) = m + n.  Series are bucketed by height, and inside a bucket a point
-(r*; m, n) is one integer: r* and m packed as fixed-width signed digits
-(Kronecker substitution), so adding two points is adding two ints, and
-n = h - m comes from the bucket.
+is one integer: the dual coordinates r* = G c of r (G the Gram matrix, c the
+coordinates) and m packed as fixed-width signed digits (Kronecker
+substitution), so adding two points is adding two ints, and n = h - m comes
+from the bucket.
+
+The verifier enumerates the fixed lattice once, up to norm 2 max(mn), bucketed
+by norm (lattice_vectors).  The key of r is pack(G c), which by linearity
+is sum_i c_i P_i, P_i the packed i-th column of G.  A root's multiplicity
+depends only on its norm class r^2 = q, on (m, n) and on whether it lies in
+N L*, so it is read once per class (class_multiplicity).
 
 F is the exponential of its log derivative.  With theta the height grading,
 theta e^beta = h(beta) e^beta, theta log of one factor is
-sum_k h(alpha) (-mult_even - (-1)^(k+1) mult_odd) e^(k alpha), and the key
-of k alpha is k times the key of alpha, since packing is linear.  So
-L = theta log F is one pass over the factor list with no series products,
-and F comes back from L by Miller's recurrence t F_t = sum_j L_j F_(t-j),
-whose division by t is exact.  All coefficients are exact integers.
+-2 h(alpha) mult e^(k alpha) summed over odd k, and the key of k alpha is k
+times the key of alpha.  So L = theta log F is one loop over (h, m) and the
+norm classes q <= 2mn, with one dict update per (vector, odd k)
+(lattice_log_derivative), and F comes back from L by Miller's recurrence
+t F_t = sum_j L_j F_(t-j), whose division by t is exact.  The sum side reads
+the same buckets at q = 2mn.  All coefficients are exact integers.
 
-The factor-by-factor in-place accumulator (accumulated_product) computes the
-same F another way; it is kept as the independent cross-check and is not on
-the verifier's path.
+The factor list over the cone of L* (_factor_list), its log derivative
+(log_derivative) and the factor-by-factor in-place accumulator
+(accumulated_product) compute the same L and F other ways; they are kept as
+the tests' cross-checks and are not on the verifier's path.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .mult import TwistClass, mult_closed
-from .lattices import LorentzianLattice, LorentzianPoint
+from .lattices import LorentzianPoint, vectors_by_norm
 
 Key = tuple  # (rcoords tuple, m, n)
 
@@ -92,7 +103,7 @@ class LatticeSeries:
         if len(rcoords) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates")
         lim = self.limit
-        if abs(m) > lim or any(abs(c) > lim for c in rcoords):
+        if abs(m) > lim or max(map(abs, rcoords), default=0) > lim:
             raise OverflowError(f"coordinate beyond +-{lim}")
         code = m
         for c in rcoords:
@@ -258,23 +269,9 @@ def exponential(L: LatticeSeries) -> LatticeSeries:
     return F
 
 
-def expand_product(factors, max_height: int, rank: int,
-                   jobs: int = 1) -> LatticeSeries:
-    """The product of the factors, truncated by height.
-
-    jobs deals the factor list round-robin into that many chunks whose log
-    derivatives are summed, one after another in this process, before the
-    one exponential; nothing runs in parallel, and the result is the same
-    for every chunk count.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    L = log_derivative(factors[::jobs], max_height, rank)
-    for i in range(1, jobs):
-        part = log_derivative(factors[i::jobs], max_height, rank)
-        for dst, src in zip(L.buckets, part.buckets):
-            _shift_add(dst, src, 0, 1)
-    return exponential(L)
+def expand_product(factors, max_height: int, rank: int) -> LatticeSeries:
+    """The product of the factors, truncated by height."""
+    return exponential(log_derivative(factors, max_height, rank))
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +340,7 @@ def accumulated_product(factors, max_height: int, rank: int,
 
 
 # ----------------------------------------------------------------------
-# the two sides
+# the factor list over the cone of L*: the tests' cross-check
 
 def _factor_list(tc: TwistClass, max_height: int, form: str):
     """Deterministic factor list: (point, m_even, m_odd) with height order.
@@ -392,30 +389,141 @@ def _factor_list(tc: TwistClass, max_height: int, form: str):
     return factors
 
 
-def product_side(tc: TwistClass, max_height: int, jobs: int = 1,
+def product_side(tc: TwistClass, max_height: int,
                  form: str = "split") -> LatticeSeries:
     """The product over the positive cone, truncated by height: the factor
-    list, expanded by expand_product (jobs chunks)."""
+    list, expanded by expand_product."""
     return expand_product(_factor_list(tc, max_height, form), max_height,
-                          tc.fixed.rank, jobs)
+                          tc.fixed.rank)
 
 
-def sum_side(tc: TwistClass, max_height: int) -> LatticeSeries:
-    """1 + sum over multiples of primitive norm-zero cone points of L.
+# ----------------------------------------------------------------------
+# the verifier's path: one enumeration of the fixed lattice
+
+def lattice_vectors(tc: TwistClass, series: LatticeSeries):
+    """The vectors of the fixed lattice with norm <= 2 max(mn) over
+    m + n <= H, bucketed by norm: {q: [(key, gcd(G c), gcd(c)), ...]}.
+
+    key is the packed r* = G c of the vector, so the key of (r; m, n) is
+    key + m * pack(0, 1).  Every digit of G c passes through series.pack,
+    which raises OverflowError past the series' coordinate bound.
+    """
+    H = series.max_height
+    max_mn = (H // 2) * ((H + 1) // 2)
+    pack = series.pack
+    return {q: [(pack(gc, 0), gcd(*gc), g) for gc, g in vecs]
+            for q, vecs in vectors_by_norm(tc.fixed, 2 * max_mn).items()}
+
+
+def class_multiplicity(tc: TwistClass, q: int, m: int, n: int,
+                       divisible: bool):
+    """(c1, c2) at a root (r; m, n) of L with r^2 = q: c1 = c(-alpha^2/2),
+    and c2 = c(-alpha^2/2N) when alpha lies in N L* (divisible) and N > 1,
+    else 0.  The root's multiplicity is c1 + c2, as mult_closed gives it.
+    This is the only place the verifier's product side reads
+    multiplicities, once per norm class, (m, n) and divisibility."""
+    x = 2 * m * n - q  # -alpha^2
+    N = tc.order
+    return (tc.c_at(x, 2),
+            tc.c_at(x, 2 * N) if divisible and N > 1 else 0)
+
+
+def lattice_log_derivative(tc: TwistClass, vectors, max_height: int,
+                           form: str = "split"):
+    """(L, factor count): L = theta log of the product side, summed from
+    the lattice vectors without a factor list.
+
+    Every root alpha = (r; m, n) has equal even and odd multiplicity v, so
+    its factor adds -2 h v at k alpha for odd k and nothing for even k.
+    The loop runs over (h, m), then over the norm classes q <= 2mn, with v
+    read once per class and N-divisibility.  alpha lies in N L* iff N
+    divides m, n and gcd(G c).  The count is the length of the factor list
+    of the given form: one factor per root with v != 0 in theorem1 form,
+    one per nonzero c1 and one per nonzero c2 in split form.
+    """
+    if form not in ("theorem1", "split"):
+        raise ValueError(f"unknown product form {form!r}")
+    N, rank = tc.order, tc.fixed.rank
+    split = form == "split"
+    # grow the c series once: the largest exponent read is -alpha^2/2 at
+    # r = 0 and the largest mn
+    tc._need((max_height // 2) * ((max_height + 1) // 2))
+    L = LatticeSeries(max_height, rank)
+    buckets = L.buckets
+    unit_m = L.pack((0,) * rank, 1)
+    # norm classes in order, each split into vectors off and in N L*
+    classes = [(q, [k for k, gd, _ in vecs if gd % N],
+                [k for k, gd, _ in vecs if gd % N == 0])
+               for q, vecs in sorted(vectors.items())]
+    count = 0
+    for h in range(1, max_height + 1):
+        odd_k = range(1, max_height // h + 1, 2)
+        for m in range(h + 1):
+            n = h - m
+            base = m * unit_m
+            mn_divisible = m % N == 0 and n % N == 0
+            for q, off, on in classes:
+                if q > 2 * m * n:
+                    break
+                lo = class_multiplicity(tc, q, m, n, False)
+                hi = class_multiplicity(tc, q, m, n, True) \
+                    if on and mn_divisible else lo
+                for (c1, c2), keys in ((lo, off), (hi, on)):
+                    if not keys:
+                        continue
+                    if c1 < 0 or c2 < 0:
+                        raise ValueError("multiplicities must be nonnegative")
+                    v = c1 + c2
+                    count += len(keys) * ((c1 != 0) + (c2 != 0) if split
+                                          else v != 0)
+                    if not v:
+                        continue
+                    c = -2 * h * v
+                    for k in odd_k:
+                        b, shift = buckets[k * h], k * base
+                        get = b.get
+                        for key in keys:
+                            key = k * key + shift
+                            t = get(key, 0) + c
+                            if t:
+                                b[key] = t
+                            else:
+                                del b[key]
+    return L, count
+
+
+def sum_side(tc: TwistClass, max_height: int,
+             vectors=None) -> LatticeSeries:
+    """1 + sum over multiples of primitive norm-zero vectors of L^+.
 
     The coefficient at k times a primitive vector is the k-th coefficient of
     the twist's tail series.  Every k <= max_height is read, since the
-    primitive vector (0; 1, 0) has max_height multiples in the slice.
+    primitive vector (0; 1, 0) has max_height multiples in the slice.  The
+    vectors (r; m, n) with m, n >= 1 are the lattice vectors of norm 2mn
+    (lattice_vectors, built here when not given) with gcd(m, n, c) = 1.
     """
     tail = [tc.tail_coeff(k) for k in range(1, max_height + 1)]
     if any(a.denominator != 1 for a in tail):
         raise ValueError("tail coefficient is not an integer")
+    tail = [a.numerator for a in tail]
     out = LatticeSeries.one(max_height, tc.fixed.rank)
-    for lam, kmax in tc.lorentzian.primitive_isotropic_enum(max_height):
-        if not tc.lorentzian.in_lattice(lam):
-            continue
-        for k in range(1, kmax + 1):
-            out.add_term(_key(lam.multiply(k)), tail[k - 1].numerator)
+    if vectors is None:
+        vectors = lattice_vectors(tc, out)
+    buckets = out.buckets
+    unit_m = out.pack((0,) * tc.fixed.rank, 1)
+    for k, a in enumerate(tail, 1):
+        if a:  # k (0; 1, 0) and k (0; 0, 1)
+            buckets[k][k * unit_m] = buckets[k][0] = a
+    # distinct (primitive vector, k) give distinct points, so every
+    # coefficient is set once
+    for m in range(1, max_height):
+        for n in range(1, max_height + 1 - m):
+            h, d, base = m + n, gcd(m, n), m * unit_m
+            for key, _, g in vectors.get(2 * m * n, ()):
+                if gcd(d, g) == 1:
+                    for k in range(1, max_height // h + 1):
+                        if tail[k - 1]:
+                            buckets[k * h][k * (key + base)] = tail[k - 1]
     return out
 
 
@@ -435,21 +543,19 @@ class IdentityReport:
         return self.status == "pass"
 
 
-def _anisotropic_ok(prod: LatticeSeries, lor: LorentzianLattice) -> bool:
-    """No product term lies off the cone: r*^2 >= 2mn at every key.
+def _anisotropic_ok(prod: LatticeSeries, vectors) -> bool:
+    """No product term lies inside the cone: r^2 >= 2mn at every key.
 
-    Tested in integers as r*.A r* >= 2mn * D, once per distinct r*.
+    Every r of the product lies in the fixed lattice.  One of norm at most
+    2 max(mn) is among the lattice vectors, which give its norm; any other
+    has r^2 > 2mn for every m + n <= H.
     """
-    D = lor.exponent
-    scaled: dict[int, int] = {}  # packed r* -> D * r*^2
+    norms = {key: q for q, vecs in vectors.items() for key, _, _ in vecs}
     for h, b in enumerate(prod.buckets):
         for code in b:
             m, rpart = prod.split(code)
-            q = scaled.get(rpart)
-            if q is None:
-                q = scaled[rpart] = lor.rstar_norm_scaled(
-                    prod.unpack(rpart)[0])
-            if q < 2 * m * (h - m) * D:
+            q = norms.get(rpart)
+            if q is not None and q < 2 * m * (h - m):
                 return False
     return True
 
@@ -457,13 +563,20 @@ def _anisotropic_ok(prod: LatticeSeries, lor: LorentzianLattice) -> bool:
 def verify_identity(order: int, max_height: int, jobs: int = 1,
                     form: str = "split",
                     tc: TwistClass | None = None) -> IdentityReport:
-    """Compare the product and sum sides exactly up to the height cut."""
+    """Compare the product and sum sides exactly up to the height cut.
+
+    Both sides read one enumeration of the fixed lattice.  jobs is checked
+    and otherwise unused: the result is the same for every value.
+    """
     start = time.monotonic()
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     if tc is None:
         tc = TwistClass(order)
-    factors = _factor_list(tc, max_height, form)
-    prod = expand_product(factors, max_height, tc.fixed.rank, jobs)
-    sums = sum_side(tc, max_height)
+    vectors = lattice_vectors(tc, LatticeSeries(max_height, tc.fixed.rank))
+    L, factor_count = lattice_log_derivative(tc, vectors, max_height, form)
+    prod = exponential(L)
+    sums = sum_side(tc, max_height, vectors)
     first = None
     for h, (pb, sb) in enumerate(zip(prod.buckets, sums.buckets)):
         if pb != sb:
@@ -473,10 +586,13 @@ def verify_identity(order: int, max_height: int, jobs: int = 1,
             # (location, expected, got)
             first = (prod.key_of(h, code), sb.get(code, 0), pb.get(code, 0))
             break
-    aniso = _anisotropic_ok(prod, tc.lorentzian)
+    # when the sides agree, every key of F is a key of S: the zero point
+    # or a multiple of a norm-zero vector, where r^2 = 2mn exactly, so the
+    # scan can only fail when they differ
+    aniso = first is None or _anisotropic_ok(prod, vectors)
     wall = int((time.monotonic() - start) * 1000)
     return IdentityReport(
-        order=tc.order, max_height=max_height, factor_count=len(factors),
+        order=tc.order, max_height=max_height, factor_count=factor_count,
         product_terms=prod.term_count(),
         status="pass" if first is None and aniso else "fail",
         first_discrepancy=first, anisotropic_ok=aniso, wall_ms=wall)

@@ -223,13 +223,27 @@ def trace_gf_odd(shape: CycleShape, trace_l: int, prec) -> QSeries:
                    _boson_inverse(shape, prec), trace_l)
 
 
+def trace_gfs(shape_v: CycleShape, shape_l: CycleShape, trace_l: int,
+              prec):
+    """(trace_gf_even(shape_v), trace_gf_odd(shape_l, trace_l)) at prec,
+    with one boson product and inverse for both when the shapes agree."""
+    prec = Fraction(prec)
+    inverse = _boson_inverse(shape_v, prec)
+    even = _fermion_half(shape_v, prec) * inverse
+    if trace_l == 0:
+        return even, QSeries.zero(trunc=prec)
+    if shape_l != shape_v:
+        inverse = _boson_inverse(shape_l, prec)
+    return even, _odd_gf(cycle_product(shape_l, +1, False, prec), inverse,
+                         trace_l)
+
+
 def check_trace_identity(shape: CycleShape, trace_l: int, prec):
     """Compare even and odd trace generating functions exactly.
 
     Returns (ok, first_discrepancy_exponent_or_None).
     """
-    even = trace_gf_even(shape, prec)
-    odd = trace_gf_odd(shape, trace_l, prec)
+    even, odd = trace_gfs(shape, shape, trace_l, prec)
     disc = even.first_difference(odd)
     return disc is None, disc
 

@@ -265,6 +265,28 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
     return out, T
 
 
+def vectors_by_norm(lattice: IntegralLattice, max_norm: int):
+    """Every vector of an integral lattice with norm at most max_norm,
+    bucketed by norm: {norm: [(G c, gcd(c)), ...]} over the coordinate
+    vectors c, G the Gram matrix.  G c are the vector's dual coordinates,
+    its pairings with the basis; gcd(c) is 0 for the zero vector."""
+    gram = lattice.gram_int()
+    points, T = _enumerate_scaled(lattice, [0] * lattice.rank,
+                                  Fraction(max_norm))
+    out: dict[int, list] = {}
+    prev = gc = ()
+    for c, q in points:
+        # the enumeration steps the first coordinate fastest, so most points
+        # are the one before plus e_0, and G c moves by G e_0 = gram[0]
+        if prev and c[0] == prev[0] + 1 and c[1:] == prev[1:]:
+            gc = tuple(map(add, gc, gram[0]))
+        else:
+            gc = tuple([sum(map(mul, row, c)) for row in gram])
+        prev = c
+        out.setdefault(q // T, []).append((gc, gcd(*c)))
+    return out
+
+
 def enumerate_coset(lattice: IntegralLattice, shift, max_norm):
     """All integer coordinate vectors x with (x + s)^2 <= max_norm.
 
@@ -479,10 +501,6 @@ class LorentzianLattice:
         scaled_inv = [[int(x * self.exponent) for x in row] for row in inv]
         self.rows = _RowTable(scaled_inv, self.exponent, self.disc)
 
-    def rstar_norm_scaled(self, rcoords) -> int:
-        """D * r*^2 = r*.A r*, an integer."""
-        return self.rows[rcoords].norm_scaled
-
     def rstar_norm(self, rcoords) -> Fraction:
         return Fraction(self.rows[rcoords].norm_scaled, self.exponent)
 
@@ -533,7 +551,8 @@ class LorentzianLattice:
 
         Returns a list of (point, max_multiple) with max_multiple the largest
         k such that k*height <= H.  The fixed lattice is enumerated once and
-        bucketed by norm; a vector c of norm 2mn gives the point (Gc; m, n).
+        bucketed by norm; a vector c of norm 2mn gives the point (Gc; m, n),
+        primitive when gcd(m, n, c) = 1.
         """
         out = []
         zero = (0,) * self.fixed.rank
@@ -541,16 +560,12 @@ class LorentzianLattice:
             out += [(LorentzianPoint(zero, 1, 0), max_height),
                     (LorentzianPoint(zero, 0, 1), max_height)]
         max_mn = (max_height // 2) * ((max_height + 1) // 2)
-        points, T = _enumerate_scaled(self.fixed, zero, Fraction(2 * max_mn))
-        by_norm: dict[int, list] = {}
-        for coords, q in points:
-            by_norm.setdefault(q // T, []).append(coords)
+        by_norm = vectors_by_norm(self.fixed, 2 * max_mn)
         for m in range(1, max_height):
             for n in range(1, max_height + 1 - m):
-                for c in by_norm.get(2 * m * n, ()):
-                    if gcd(m, n, *c) == 1:
-                        pt = LorentzianPoint(tuple(mat_vec(self.gram_int, c)),
-                                             m, n)
-                        out.append((pt, max_height // (m + n)))
+                for gc, g in by_norm.get(2 * m * n, ()):
+                    if gcd(m, n, g) == 1:
+                        out.append((LorentzianPoint(gc, m, n),
+                                    max_height // (m + n)))
         out.sort(key=lambda t: (t[0].height, t[0].m, t[0].rcoords))
         return out

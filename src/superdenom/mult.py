@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import divisors, mobius
-from .etaq import c_series, dim_gf, tail_series, trace_gf_even, trace_gf_odd
+from .etaq import c_series, dim_gf, tail_series, trace_gfs
 from .lattices import (LorentzianLattice, LorentzianPoint,
                        build_coset_shift_table, e8_lattice, fixed_sublattice,
                        orthogonal_complement, theta_coset)
@@ -81,8 +81,8 @@ class TwistClass:
 
     def _build_series_caches(self):
         p = Fraction(self._prec)
-        self.gf_trace_even = trace_gf_even(self.shape_V, p)
-        self.gf_trace_odd = trace_gf_odd(self.shape_L, self.trace_l, p)
+        self.gf_trace_even, self.gf_trace_odd = trace_gfs(
+            self.shape_V, self.shape_L, self.trace_l, p)
         self.c = c_series(self.order, p)
         self.tail = tail_series(self.order, p)
 

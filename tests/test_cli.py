@@ -88,6 +88,33 @@ class TestUnreadFlags:
         assert (code, out) == (2, "")
         assert "usage:" in err and "does not read" in err
 
+    @pytest.mark.parametrize("argv,code", [
+        ("verify susy --ord 7 --prec=5", 0),
+        ("verify susy --prec 5 --hei=3", 2),
+        ("verify susy --prec 5 --config CFG", 0),
+    ])
+    def test_parser_built_once(self, monkeypatch, tmp_path, argv, code):
+        """One argparse tree per parse_args call, also when it rejects an
+        abbreviated --flag=value option or reads a config file."""
+        import superdenom.cli as cli
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("order = 7\njobs = 2\n")
+        calls = []
+        orig = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return orig()
+        monkeypatch.setattr(cli, "build_parser", counted)
+        argv = argv.replace("CFG", str(cfgfile)).split()
+        if code:
+            with pytest.raises(SystemExit) as exc:
+                cli.parse_args(argv)
+            assert exc.value.code == code
+        else:
+            assert cli.parse_args(argv).order == 7
+        assert len(calls) == 1
+
     def test_params_keep_unread_defaults(self, capsys):
         code, report, _ = run_json(capsys, "verify", "susy", "--prec", "5")
         assert code == 0
@@ -139,14 +166,14 @@ class TestReports:
         tuple-keyed accumulator wrote it: location, expected and got of the
         first discrepancy, and the anisotropic check."""
         import superdenom.denom as dn
-        orig = dn.mult_closed
+        orig = dn.class_multiplicity
 
-        def bad(tc, p):
-            e, o = orig(tc, p)
-            if tc.lorentzian.norm(p) == -2:
-                return (e + 1, o + 1)
-            return (e, o)
-        monkeypatch.setattr(dn, "mult_closed", bad)
+        def bad(tc, q, m, n, divisible):
+            c1, c2 = orig(tc, q, m, n, divisible)
+            if 2 * m * n - q == 2:  # roots of norm -2
+                return (c1 + 1, c2)
+            return (c1, c2)
+        monkeypatch.setattr(dn, "class_multiplicity", bad)
         code, out, _ = run(capsys, "verify", "denominator", "--order", "1",
                            "--height", "2", "--format", "json")
         assert code == 1

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superdenom.denom as dn
+from superdenom import lattices
 from superdenom.denom import (LatticeSeries, accumulated_product,
                               expand_factor, expand_product, exponential,
-                              factor_coefficients, log_derivative,
-                              product_side, sum_side, verify_identity)
-from superdenom.lattices import LorentzianPoint
+                              factor_coefficients, lattice_log_derivative,
+                              lattice_vectors, log_derivative, product_side,
+                              sum_side, verify_identity)
+from superdenom.lattices import LorentzianLattice, LorentzianPoint
 from superdenom.mult import TwistClass
 
 
@@ -267,7 +269,7 @@ class TestExpOfLogDerivative:
     @given(_mult_factor_lists(), st.integers(1, 3))
     def test_matches_mul_factor_chain(self, case, jobs):
         rank, H, factors = case
-        new = expand_product(factors, H, rank, jobs)
+        new = expand_product(factors, H, rank)
         ref = accumulated_product(factors, H, rank, jobs)
         assert new.items() == ref.items()
         assert new.term_count() == ref.term_count()
@@ -278,8 +280,7 @@ class TestExpOfLogDerivative:
         factors = dn._factor_list(tc, height, "split")
         rank = tc.fixed.rank
         ref = accumulated_product(factors, height, rank)
-        for jobs in (1, 2, 8):
-            assert expand_product(factors, height, rank, jobs) == ref
+        assert expand_product(factors, height, rank) == ref
         assert product_side(tc, height) == ref
 
     def test_log_derivative_of_one_factor(self):
@@ -303,7 +304,7 @@ class TestExpOfLogDerivative:
         with pytest.raises(ValueError):
             log_derivative([(LorentzianPoint((0,), 1, 0), -1, 0)], 3, 1)
         with pytest.raises(ValueError):
-            expand_product([], 3, 1, jobs=0)
+            verify_identity(3, 2, jobs=0)
 
 
 class TestPackedKeys:
@@ -390,10 +391,13 @@ class TestProductSide:
                 product_side(tc, 3, form="theorem1")
 
     def test_jobs_deterministic(self, tc3):
-        p1 = product_side(tc3, 4, jobs=1)
-        p2 = product_side(tc3, 4, jobs=2)
-        p5 = product_side(tc3, 4, jobs=5)
-        assert p1 == p2 == p5
+        """jobs is accepted and has no effect on the report."""
+        reports = [verify_identity(3, 4, jobs=jobs, tc=tc3)
+                   for jobs in (1, 2, 5)]
+        for r in reports:
+            r.wall_ms = 0
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].passed
 
     def test_unknown_form(self, tc3):
         with pytest.raises(ValueError):
@@ -414,16 +418,18 @@ class TestVerifyIdentity:
         for h in range(4):
             assert p4.buckets[h] == p3.buckets[h]
 
-    def test_factor_list_built_once(self, monkeypatch):
-        calls = []
-        orig = dn._factor_list
-
-        def counted(*args):
-            calls.append(args)
-            return orig(*args)
-        monkeypatch.setattr(dn, "_factor_list", counted)
-        assert dn.verify_identity(3, 3).passed
-        assert len(calls) == 1
+    def test_no_cone_or_membership_on_the_path(self, tc7, monkeypatch):
+        """The verifier reads one enumeration of the fixed lattice: no cone
+        of L*, factor list, membership test or mat_vec, and no r* row."""
+        def refuse(*args):
+            raise AssertionError("cone or membership on the verifier's path")
+        monkeypatch.setattr(LorentzianLattice, "positive_cone_enum", refuse)
+        monkeypatch.setattr(LorentzianLattice, "in_lattice", refuse)
+        monkeypatch.setattr(dn, "_factor_list", refuse)
+        monkeypatch.setattr(lattices, "mat_vec", refuse)
+        rows = dict(tc7.lorentzian.rows)
+        assert dn.verify_identity(7, 8, jobs=2, tc=tc7).passed
+        assert tc7.lorentzian.rows == rows
 
     def test_series_caches_rebuilt_once(self, monkeypatch):
         """The factor list grows the c series once, to the largest exponent
@@ -447,16 +453,22 @@ class TestVerifyIdentity:
         monkeypatch.setattr(LatticeSeries, "mul_factor", refuse)
         assert verify_identity(7, 8, jobs=2, tc=tc7).passed
 
-    def test_perturbed_multiplicity_fails(self, tc3, monkeypatch):
-        import superdenom.denom as dn
-        orig = dn.mult_closed
+    @staticmethod
+    def _perturb(monkeypatch, off_axis_only=False):
+        """Add 1 to c1 on every root of norm -2 (with r != 0, i.e. q > 0,
+        if off_axis_only), through the product side's one multiplicity
+        function."""
+        orig = dn.class_multiplicity
 
-        def bad(tc, p):
-            e, o = orig(tc, p)
-            if tc.lorentzian.norm(p) == -2:
-                return (e + 1, o + 1)
-            return (e, o)
-        monkeypatch.setattr(dn, "mult_closed", bad)
+        def bad(tc, q, m, n, divisible):
+            c1, c2 = orig(tc, q, m, n, divisible)
+            if 2 * m * n - q == 2 and (q > 0 or not off_axis_only):
+                return (c1 + 1, c2)
+            return (c1, c2)
+        monkeypatch.setattr(dn, "class_multiplicity", bad)
+
+    def test_perturbed_multiplicity_fails(self, tc3, monkeypatch):
+        self._perturb(monkeypatch)
         r = dn.verify_identity(3, 3, form="theorem1", tc=tc3)
         assert not r.passed
         # (location, expected, got), pinned from the tuple-keyed accumulator
@@ -466,15 +478,67 @@ class TestVerifyIdentity:
     def test_perturbed_off_axis_location(self, tc3, monkeypatch):
         """A perturbation away from r* = 0: the reported location has
         negative coordinates and is the least (height, m, r*)."""
-        import superdenom.denom as dn
-        orig = dn.mult_closed
-
-        def bad(tc, p):
-            e, o = orig(tc, p)
-            if any(p.rcoords) and tc.lorentzian.norm(p) == -2:
-                return (e + 1, o + 1)
-            return (e, o)
-        monkeypatch.setattr(dn, "mult_closed", bad)
+        self._perturb(monkeypatch, off_axis_only=True)
         r = dn.verify_identity(3, 3, form="theorem1", tc=tc3)
         assert r.first_discrepancy == (((-3, -1, 2, 3), 1, 2), 0, -2)
         assert not r.anisotropic_ok
+
+    def test_negative_multiplicity_rejected(self, tc3, monkeypatch):
+        monkeypatch.setattr(dn, "class_multiplicity",
+                            lambda tc, q, m, n, divisible: (-1, 0))
+        with pytest.raises(ValueError):
+            dn.verify_identity(3, 3, tc=tc3)
+
+
+class TestPackedPipeline:
+    """The verifier's one-enumeration path against the factor list and the
+    isotropic enumeration it replaced."""
+
+    @staticmethod
+    def _reference_sum_side(tc, max_height):
+        """The sum side from primitive_isotropic_enum, one membership test
+        and one LorentzianPoint multiple per term."""
+        tail = [tc.tail_coeff(k) for k in range(1, max_height + 1)]
+        out = LatticeSeries.one(max_height, tc.fixed.rank)
+        for lam, kmax in tc.lorentzian.primitive_isotropic_enum(max_height):
+            assert tc.lorentzian.in_lattice(lam)
+            for k in range(1, kmax + 1):
+                p = lam.multiply(k)
+                out.add_term((p.rcoords, p.m, p.n), tail[k - 1].numerator)
+        return out
+
+    @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 12)])
+    def test_matches_factor_list(self, order, height, tc1, tc3, tc7):
+        tc = {1: tc1, 3: tc3, 7: tc7}[order]
+        rank = tc.fixed.rank
+        vectors = lattice_vectors(tc, LatticeSeries(height, rank))
+        counts = {}
+        for form in ("split", "theorem1"):
+            factors = dn._factor_list(tc, height, form)
+            L, counts[form] = lattice_log_derivative(tc, vectors, height,
+                                                     form)
+            assert L.buckets == log_derivative(factors, height, rank).buckets
+            assert counts[form] == len(factors)
+            assert dn._anisotropic_ok(exponential(L), vectors)
+            r = verify_identity(order, height, form=form, tc=tc)
+            assert r.passed and r.factor_count == len(factors)
+        # split form counts c1 and c2 apart on N L*, theorem1 one per root
+        assert (counts["split"] > counts["theorem1"]) == (order > 1)
+        assert sum_side(tc, height, vectors).buckets == \
+            self._reference_sum_side(tc, height).buckets
+        assert sum_side(tc, height) == sum_side(tc, height, vectors)
+
+    def test_pack_bound_on_largest_digit(self, tc7):
+        """Every enumerated vector's G c passes through pack: a coordinate
+        bound equal to the largest digit packs, one below it raises."""
+        H = 12
+        vectors = lattice_vectors(tc7, LatticeSeries(H, tc7.fixed.rank))
+        s = LatticeSeries(H, tc7.fixed.rank)
+        largest = max(max(map(abs, s.unpack(key)[0]))
+                      for vecs in vectors.values() for key, _, _ in vecs)
+        assert 0 < largest < s.limit
+        s.limit = largest
+        assert lattice_vectors(tc7, s) == vectors
+        s.limit = largest - 1
+        with pytest.raises(OverflowError):
+            lattice_vectors(tc7, s)

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from superdenom.arith import divisors, mobius
+from superdenom.etaq import trace_gf_even, trace_gf_odd
 from superdenom.lattices import LorentzianPoint, enumerate_coset
 from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity,
                              TheoremClosedFormMismatch, TwistClass,
@@ -44,6 +45,25 @@ class TestConstruction:
             TwistClass(2)
         with pytest.raises(UnsupportedTwistOrder):
             TwistClass(5)
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_trace_caches_invert_once(self, order, monkeypatch):
+        """shape_V == shape_L at every shipped order, so a cache build
+        inverts the boson product once and still gives the two separate
+        generating functions."""
+        tc = TwistClass(order)
+        assert tc.shape_V == tc.shape_L
+        calls = []
+        orig = QSeries.inverse
+
+        def counted(self):
+            calls.append(self)
+            return orig(self)
+        monkeypatch.setattr(QSeries, "inverse", counted)
+        tc._need(95)
+        assert tc._prec == 96 and len(calls) == 1
+        assert tc.gf_trace_even == trace_gf_even(tc.shape_V, 96)
+        assert tc.gf_trace_odd == trace_gf_odd(tc.shape_L, tc.trace_l, 96)
 
     def test_mobius(self):
         assert [mobius(n) for n in (1, 2, 3, 6, 7, 9, 12)] == \
