@@ -14,7 +14,9 @@ The verifier enumerates the fixed lattice once, up to norm 2 max(mn), bucketed
 by norm (lattice_vectors).  The key of r is pack(G c), which by linearity
 is sum_i c_i P_i, P_i the packed i-th column of G.  A root's multiplicity
 depends only on its norm class r^2 = q, on (m, n) and on whether it lies in
-N L*, so it is read once per class (class_multiplicity).
+N L*, so it is read once per class from mult.class_multiplicity, the closed
+form that mult_closed reads too and that verify mult checks against the
+Moebius convolution.
 
 F is the exponential of its log derivative.  With theta the height grading,
 theta e^beta = h(beta) e^beta, theta log of one factor is
@@ -22,23 +24,26 @@ theta e^beta = h(beta) e^beta, theta log of one factor is
 times the key of alpha.  So L = theta log F is one loop over (h, m) and the
 norm classes q <= 2mn, with one dict update per (vector, odd k)
 (lattice_log_derivative), and F comes back from L by Miller's recurrence
-t F_t = sum_j L_j F_(t-j), whose division by t is exact.  The sum side reads
-the same buckets at q = 2mn.  All coefficients are exact integers.
+t F_t = sum_j L_j F_(t-j), whose division by t is exact (exponential).
+product_side is the verifier's product stage: the fused L, then its
+exponential.  The sum side reads the same buckets at q = 2mn.  All
+coefficients are exact integers.
 
 The factor list over the cone of L* (_factor_list), its log derivative
 (log_derivative) and the factor-by-factor in-place accumulator
-(accumulated_product) compute the same L and F other ways; they are kept as
-the tests' cross-checks and are not on the verifier's path.
+(accumulated_product) compute the same L and F other ways and are not on
+the verifier's path.  They stay because the tests compare the verifier
+against them, and because the benchmark's tracer (perfbench/tracing.py)
+looks their names up.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 
-from .mult import TwistClass, mult_closed
+from .mult import TwistClass, class_multiplicity, mult_closed
 from .lattices import LorentzianPoint, vectors_by_norm
 
 Key = tuple  # (rcoords tuple, m, n)
@@ -269,11 +274,6 @@ def exponential(L: LatticeSeries) -> LatticeSeries:
     return F
 
 
-def expand_product(factors, max_height: int, rank: int) -> LatticeSeries:
-    """The product of the factors, truncated by height."""
-    return exponential(log_derivative(factors, max_height, rank))
-
-
 # ----------------------------------------------------------------------
 # the cross-check: one factor at a time into an in-place accumulator
 
@@ -316,13 +316,13 @@ def expand_factor(alpha: LorentzianPoint, m_even: int, m_odd: int,
 
 def accumulated_product(factors, max_height: int, rank: int,
                         jobs: int = 1) -> LatticeSeries:
-    """expand_product computed by series products instead of exp/log.
+    """The product of the factors, by series products instead of exp/log.
 
     The height-sorted factors are dealt round-robin into jobs chunks, each
     multiplied factor by factor into its own accumulator (mul_factor), and
     the partial products are merged by truncated multiplication
     (mul_series).  The verifier does not run this; the tests compare it
-    with expand_product.
+    with the exponential of log_derivative.
     """
     if jobs < 1:
         raise ValueError("jobs must be positive")
@@ -389,14 +389,6 @@ def _factor_list(tc: TwistClass, max_height: int, form: str):
     return factors
 
 
-def product_side(tc: TwistClass, max_height: int,
-                 form: str = "split") -> LatticeSeries:
-    """The product over the positive cone, truncated by height: the factor
-    list, expanded by expand_product."""
-    return expand_product(_factor_list(tc, max_height, form), max_height,
-                          tc.fixed.rank)
-
-
 # ----------------------------------------------------------------------
 # the verifier's path: one enumeration of the fixed lattice
 
@@ -415,36 +407,19 @@ def lattice_vectors(tc: TwistClass, series: LatticeSeries):
             for q, vecs in vectors_by_norm(tc.fixed, 2 * max_mn).items()}
 
 
-def class_multiplicity(tc: TwistClass, q: int, m: int, n: int,
-                       divisible: bool):
-    """(c1, c2) at a root (r; m, n) of L with r^2 = q: c1 = c(-alpha^2/2),
-    and c2 = c(-alpha^2/2N) when alpha lies in N L* (divisible) and N > 1,
-    else 0.  The root's multiplicity is c1 + c2, as mult_closed gives it.
-    This is the only place the verifier's product side reads
-    multiplicities, once per norm class, (m, n) and divisibility."""
-    x = 2 * m * n - q  # -alpha^2
-    N = tc.order
-    return (tc.c_at(x, 2),
-            tc.c_at(x, 2 * N) if divisible and N > 1 else 0)
-
-
-def lattice_log_derivative(tc: TwistClass, vectors, max_height: int,
-                           form: str = "split"):
+def lattice_log_derivative(tc: TwistClass, vectors, max_height: int):
     """(L, factor count): L = theta log of the product side, summed from
     the lattice vectors without a factor list.
 
     Every root alpha = (r; m, n) has equal even and odd multiplicity v, so
     its factor adds -2 h v at k alpha for odd k and nothing for even k.
     The loop runs over (h, m), then over the norm classes q <= 2mn, with v
-    read once per class and N-divisibility.  alpha lies in N L* iff N
-    divides m, n and gcd(G c).  The count is the length of the factor list
-    of the given form: one factor per root with v != 0 in theorem1 form,
-    one per nonzero c1 and one per nonzero c2 in split form.
+    read once per class and N-divisibility (class_multiplicity).  alpha
+    lies in N L* iff N divides m, n and gcd(G c).  The count is the length
+    of the split-form factor list: one factor per nonzero c1 and one per
+    nonzero c2.
     """
-    if form not in ("theorem1", "split"):
-        raise ValueError(f"unknown product form {form!r}")
     N, rank = tc.order, tc.fixed.rank
-    split = form == "split"
     # grow the c series once: the largest exponent read is -alpha^2/2 at
     # r = 0 and the largest mn
     tc._need((max_height // 2) * ((max_height + 1) // 2))
@@ -474,8 +449,7 @@ def lattice_log_derivative(tc: TwistClass, vectors, max_height: int,
                     if c1 < 0 or c2 < 0:
                         raise ValueError("multiplicities must be nonnegative")
                     v = c1 + c2
-                    count += len(keys) * ((c1 != 0) + (c2 != 0) if split
-                                          else v != 0)
+                    count += len(keys) * ((c1 != 0) + (c2 != 0))
                     if not v:
                         continue
                     c = -2 * h * v
@@ -492,23 +466,27 @@ def lattice_log_derivative(tc: TwistClass, vectors, max_height: int,
     return L, count
 
 
-def sum_side(tc: TwistClass, max_height: int,
-             vectors=None) -> LatticeSeries:
+def product_side(tc: TwistClass, max_height: int, vectors):
+    """(F, factor count): the product over the positive cone, truncated by
+    height, as the exponential of lattice_log_derivative."""
+    L, count = lattice_log_derivative(tc, vectors, max_height)
+    return exponential(L), count
+
+
+def sum_side(tc: TwistClass, max_height: int, vectors) -> LatticeSeries:
     """1 + sum over multiples of primitive norm-zero vectors of L^+.
 
     The coefficient at k times a primitive vector is the k-th coefficient of
     the twist's tail series.  Every k <= max_height is read, since the
     primitive vector (0; 1, 0) has max_height multiples in the slice.  The
     vectors (r; m, n) with m, n >= 1 are the lattice vectors of norm 2mn
-    (lattice_vectors, built here when not given) with gcd(m, n, c) = 1.
+    (lattice_vectors) with gcd(m, n, c) = 1.
     """
     tail = [tc.tail_coeff(k) for k in range(1, max_height + 1)]
     if any(a.denominator != 1 for a in tail):
         raise ValueError("tail coefficient is not an integer")
     tail = [a.numerator for a in tail]
     out = LatticeSeries.one(max_height, tc.fixed.rank)
-    if vectors is None:
-        vectors = lattice_vectors(tc, out)
     buckets = out.buckets
     unit_m = out.pack((0,) * tc.fixed.rank, 1)
     for k, a in enumerate(tail, 1):
@@ -536,7 +514,6 @@ class IdentityReport:
     status: str
     first_discrepancy: tuple | None
     anisotropic_ok: bool
-    wall_ms: int
 
     @property
     def passed(self) -> bool:
@@ -560,22 +537,16 @@ def _anisotropic_ok(prod: LatticeSeries, vectors) -> bool:
     return True
 
 
-def verify_identity(order: int, max_height: int, jobs: int = 1,
-                    form: str = "split",
+def verify_identity(order: int, max_height: int,
                     tc: TwistClass | None = None) -> IdentityReport:
     """Compare the product and sum sides exactly up to the height cut.
 
-    Both sides read one enumeration of the fixed lattice.  jobs is checked
-    and otherwise unused: the result is the same for every value.
+    Both sides read one enumeration of the fixed lattice.
     """
-    start = time.monotonic()
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
     if tc is None:
         tc = TwistClass(order)
     vectors = lattice_vectors(tc, LatticeSeries(max_height, tc.fixed.rank))
-    L, factor_count = lattice_log_derivative(tc, vectors, max_height, form)
-    prod = exponential(L)
+    prod, factor_count = product_side(tc, max_height, vectors)
     sums = sum_side(tc, max_height, vectors)
     first = None
     for h, (pb, sb) in enumerate(zip(prod.buckets, sums.buckets)):
@@ -590,9 +561,8 @@ def verify_identity(order: int, max_height: int, jobs: int = 1,
     # or a multiple of a norm-zero vector, where r^2 = 2mn exactly, so the
     # scan can only fail when they differ
     aniso = first is None or _anisotropic_ok(prod, vectors)
-    wall = int((time.monotonic() - start) * 1000)
     return IdentityReport(
         order=tc.order, max_height=max_height, factor_count=factor_count,
         product_terms=prod.term_count(),
         status="pass" if first is None and aniso else "fail",
-        first_discrepancy=first, anisotropic_ok=aniso, wall_ms=wall)
+        first_discrepancy=first, anisotropic_ok=aniso)

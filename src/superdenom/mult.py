@@ -47,8 +47,10 @@ class TwistClass:
     """
 
     SHIPPED_ORDERS = (1, 3, 7)
+    # precision of the trace and c series at construction; _need doubles it
+    INITIAL_PREC = 24
 
-    def __init__(self, order: int, prec: int = 24):
+    def __init__(self, order: int):
         if order % 2 == 0:
             raise UnsupportedTwistOrder(
                 "even twist orders are outside the validity of the "
@@ -71,7 +73,7 @@ class TwistClass:
         self.disc = self.lorentzian.disc
         self.shift_table = build_coset_shift_table(self.fixed, self.e8,
                                                    self.disc)
-        self._prec = max(prec, 8)
+        self._prec = self.INITIAL_PREC
         # dimension series need theta enumeration of the complement, whose
         # cost grows quickly with precision; they are only ever read at the
         # small exponents of alpha/N, so they get their own precision
@@ -126,9 +128,6 @@ class TwistClass:
     def tail_coeff(self, k: int) -> Fraction:
         self._need(k)
         return self.tail.coeff(k)
-
-    def coset_label_of(self, point: LorentzianPoint):
-        return self.lorentzian.rows[point.rcoords].label
 
 
 def _integer(v, name: str, num: int, den: int) -> int:
@@ -190,19 +189,30 @@ def mult_theorem1(tc: TwistClass, alpha: LorentzianPoint,
     return q
 
 
+def class_multiplicity(tc: TwistClass, q: int, m: int, n: int,
+                       divisible: bool):
+    """(c1, c2) at a root alpha = (r; m, n) of L with r^2 = q: c1 =
+    c(-alpha^2/2), and c2 = c(-alpha^2/2N) when alpha lies in N L*
+    (divisible) and N > 1, else 0.  The root's multiplicity is c1 + c2.
+    It depends only on the norm class, (m, n) and divisibility, so the
+    denominator verifier reads it once per class."""
+    x = 2 * m * n - q  # -alpha^2
+    N = tc.order
+    return (tc.c_at(x, 2),
+            tc.c_at(x, 2 * N) if divisible and N > 1 else 0)
+
+
 def mult_closed(tc: TwistClass, alpha: LorentzianPoint):
-    """Closed-form (even, odd) multiplicities: supported on L, with an
-    extra c-term on N*L*."""
+    """Closed-form (even, odd) multiplicities: 0 off L, class_multiplicity
+    on L, where r^2 = D r*^2 / D is an integer."""
     lor = tc.lorentzian
     row = lor.rows[alpha.rcoords]
     if not row.in_lattice:
         return (0, 0)
-    D2, N = 2 * lor.exponent, tc.order
-    x = D2 * alpha.m * alpha.n - row.norm_scaled  # -alpha^2 = x/D
-    v = tc.c_at(x, D2)
-    if N > 1 and gcd(alpha.m, alpha.n, row.gcd) % N == 0:
-        v += tc.c_at(x, D2 * N)
-    return (v, v)
+    c1, c2 = class_multiplicity(
+        tc, row.norm_scaled // lor.exponent, alpha.m, alpha.n,
+        gcd(alpha.m, alpha.n, row.gcd) % tc.order == 0)
+    return (c1 + c2, c1 + c2)
 
 
 def simple_root_mult(tc: TwistClass, k: int):

@@ -8,6 +8,9 @@ permutation is not an algebra automorphism, so triality forbids it), so the
 criterion reports FAIL and the corresponding test is expected to stay red.
 """
 
+import contextlib
+import io
+import json
 import sys
 import time
 from fractions import Fraction
@@ -15,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from superdenom import etaq, octonion
-from superdenom.cli import canonical_json
+from superdenom.cli import canonical_json, main
 from superdenom.denom import verify_identity
 from superdenom.lattices import (IntegralLattice, enumerate_coset,
                                  theta_coset)
@@ -57,8 +60,8 @@ def tc1():
 _reports = {}
 
 
-def _identity_report_bytes(order, height, jobs, tc=None):
-    r = verify_identity(order, height, jobs=jobs, tc=tc)
+def _identity_report_bytes(order, height, tc=None):
+    r = verify_identity(order, height, tc=tc)
     payload = {"order": r.order, "max_height": r.max_height,
                "factor_count": r.factor_count,
                "product_terms": r.product_terms, "status": r.status,
@@ -199,7 +202,7 @@ def test_criterion_7_twisted_denominator_identities(tc3, tc7):
     start = time.monotonic()
     ok = True
     for tc, height in ((tc3, 6), (tc7, 8)):
-        r, blob = _identity_report_bytes(tc.order, height, 1, tc=tc)
+        r, blob = _identity_report_bytes(tc.order, height, tc=tc)
         _reports[("denom", tc.order, height)] = blob
         ok = ok and r.passed and r.anisotropic_ok
     ok = report(7, ok, "twisted denominator identities verified "
@@ -210,7 +213,7 @@ def test_criterion_7_twisted_denominator_identities(tc3, tc7):
 
 def test_criterion_8_untwisted_identity(tc1):
     start = time.monotonic()
-    r, blob = _identity_report_bytes(1, 4, 1, tc=tc1)
+    r, blob = _identity_report_bytes(1, 4, tc=tc1)
     _reports[("denom", 1, 4)] = blob
     ok = r.passed and r.anisotropic_ok
     ok = ok and all(simple_root_mult(tc1, k) == (8, 8) for k in (1, 2, 3, 4))
@@ -222,16 +225,36 @@ def test_criterion_8_untwisted_identity(tc1):
     assert ok
 
 
+def _cli_denominator_report(order, height, jobs):
+    """verify denominator --format json through cli.main: (exit code,
+    report with wall_ms and params.jobs masked, echoed jobs)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "denominator", "--order", str(order),
+                     "--height", str(height), "--jobs", str(jobs),
+                     "--format", "json"])
+    report = json.loads(out.getvalue())
+    echoed = report["params"]["jobs"]
+    report["wall_ms"] = 0
+    report["params"]["jobs"] = "0"
+    return code, canonical_json(report), echoed
+
+
 def test_criterion_9_determinism(tc3, tc7, tc1):
     start = time.monotonic()
     ok = True
     for tc, height in ((tc3, 6), (tc7, 8), (tc1, 4)):
         base = _reports.get(("denom", tc.order, height))
         if base is None:
-            base = _identity_report_bytes(tc.order, height, 1, tc=tc)[1]
-        for jobs in (2, 8):
-            _, blob = _identity_report_bytes(tc.order, height, jobs, tc=tc)
-            ok = ok and blob == base
+            base = _identity_report_bytes(tc.order, height, tc=tc)[1]
+        ok = ok and _identity_report_bytes(tc.order, height, tc=tc)[1] == base
+        reports = set()
+        for jobs in (1, 2, 8):
+            code, blob, echoed = _cli_denominator_report(tc.order, height,
+                                                         jobs)
+            ok = ok and code == 0 and echoed == str(jobs)
+            reports.add(blob)
+        ok = ok and len(reports) == 1
     for tc in (tc3, tc7):
         base = _reports.get(("mult", tc.order))
         if base is None:

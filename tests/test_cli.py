@@ -59,8 +59,9 @@ class TestExitCodes:
         ("table", "mult", "--height", "0"),
         ("table", "simple_roots", "--height", "0"),
         ("table", "mult", "--max-norm", "-5"),
+        ("verify", "denominator", "--jobs", "0"),
     ], ids=["verify-denominator", "verify-mult", "table-mult",
-            "table-simple_roots", "max-norm"])
+            "table-simple_roots", "max-norm", "jobs"])
     def test_vacuous_run_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err

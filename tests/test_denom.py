@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import superdenom.denom as dn
 from superdenom import lattices
 from superdenom.denom import (LatticeSeries, accumulated_product,
-                              expand_factor, expand_product, exponential,
+                              expand_factor, exponential,
                               factor_coefficients, lattice_log_derivative,
                               lattice_vectors, log_derivative, product_side,
                               sum_side, verify_identity)
@@ -28,6 +28,21 @@ def tc3():
 @pytest.fixture(scope="module")
 def tc7():
     return TwistClass(7)
+
+
+def _vectors(tc, height):
+    return lattice_vectors(tc, LatticeSeries(height, tc.fixed.rank))
+
+
+def _product(tc, height):
+    """The verifier's product stage at one height."""
+    return product_side(tc, height, _vectors(tc, height))[0]
+
+
+def _expand(factors, height, rank):
+    """The product of a factor list, as the exponential of its log
+    derivative."""
+    return exponential(log_derivative(factors, height, rank))
 
 
 class TestFactorCoefficients:
@@ -262,14 +277,14 @@ def _mult_factor_lists(draw):
 
 
 class TestExpOfLogDerivative:
-    """expand_product against the accumulator it replaced on the verifier's
-    path."""
+    """The exponential of the log derivative against the accumulator it
+    replaced on the verifier's path."""
 
     @settings(max_examples=150, deadline=None)
     @given(_mult_factor_lists(), st.integers(1, 3))
     def test_matches_mul_factor_chain(self, case, jobs):
         rank, H, factors = case
-        new = expand_product(factors, H, rank)
+        new = _expand(factors, H, rank)
         ref = accumulated_product(factors, H, rank, jobs)
         assert new.items() == ref.items()
         assert new.term_count() == ref.term_count()
@@ -280,8 +295,8 @@ class TestExpOfLogDerivative:
         factors = dn._factor_list(tc, height, "split")
         rank = tc.fixed.rank
         ref = accumulated_product(factors, height, rank)
-        assert expand_product(factors, height, rank) == ref
-        assert product_side(tc, height) == ref
+        assert _expand(factors, height, rank) == ref
+        assert _product(tc, height) == ref
 
     def test_log_derivative_of_one_factor(self):
         # theta log (1-x)^3 (1+x)^{-1} at x = e^alpha, h(alpha) = 2:
@@ -303,8 +318,6 @@ class TestExpOfLogDerivative:
             log_derivative([(LorentzianPoint((0,), 0, 0), 1, 1)], 3, 1)
         with pytest.raises(ValueError):
             log_derivative([(LorentzianPoint((0,), 1, 0), -1, 0)], 3, 1)
-        with pytest.raises(ValueError):
-            verify_identity(3, 2, jobs=0)
 
 
 class TestPackedKeys:
@@ -349,20 +362,20 @@ class TestPackedKeys:
 
 class TestSumSide:
     def test_height1_terms(self, tc3):
-        s = sum_side(tc3, 1)
+        s = sum_side(tc3, 1, _vectors(tc3, 1))
         zero = (0,) * tc3.fixed.rank
         assert s.coeff((zero, 1, 0)) == -4
         assert s.coeff((zero, 0, 1)) == -4
         assert s.term_count() == 3
 
     def test_tail_values_order3(self, tc3):
-        s = sum_side(tc3, 6)
+        s = sum_side(tc3, 6, _vectors(tc3, 6))
         zero = (0,) * tc3.fixed.rank
         assert [s.coeff((zero, k, 0)) for k in (1, 2, 3, 4, 5, 6)] == \
             [-4, 4, -4, 20, -24, 4]
 
     def test_tail_values_order7(self, tc7):
-        s = sum_side(tc7, 8)
+        s = sum_side(tc7, 8, _vectors(tc7, 8))
         zero = (0,) * tc7.fixed.rank
         assert s.coeff((zero, 2, 0)) == 0
         assert s.coeff((zero, 8, 0)) == 4
@@ -375,33 +388,29 @@ class TestSumSide:
 
 class TestProductSide:
     def test_constant_term(self, tc3):
-        p = product_side(tc3, 2)
+        p = _product(tc3, 2)
         zero = (0,) * tc3.fixed.rank
         assert p.coeff((zero, 0, 0)) == 1
 
     def test_linear_coefficients_match_tail(self, tc3, tc7):
         zero3 = (0,) * tc3.fixed.rank
-        assert product_side(tc3, 2).coeff((zero3, 1, 0)) == -4
+        assert _product(tc3, 2).coeff((zero3, 1, 0)) == -4
         zero7 = (0,) * tc7.fixed.rank
-        assert product_side(tc7, 2).coeff((zero7, 1, 0)) == -2
+        assert _product(tc7, 2).coeff((zero7, 1, 0)) == -2
 
     def test_forms_agree(self, tc3, tc7):
+        """The split list's inline c1 and c2 and the theorem1 list's
+        mult_closed, which reads mult.class_multiplicity, expand to the
+        product the verifier builds."""
         for tc in (tc3, tc7):
-            assert product_side(tc, 3, form="split") == \
-                product_side(tc, 3, form="theorem1")
-
-    def test_jobs_deterministic(self, tc3):
-        """jobs is accepted and has no effect on the report."""
-        reports = [verify_identity(3, 4, jobs=jobs, tc=tc3)
-                   for jobs in (1, 2, 5)]
-        for r in reports:
-            r.wall_ms = 0
-        assert reports[0] == reports[1] == reports[2]
-        assert reports[0].passed
+            rank = tc.fixed.rank
+            split, closed = (_expand(dn._factor_list(tc, 3, form), 3, rank)
+                             for form in ("split", "theorem1"))
+            assert split == closed == _product(tc, 3)
 
     def test_unknown_form(self, tc3):
         with pytest.raises(ValueError):
-            product_side(tc3, 2, form="mystery")
+            dn._factor_list(tc3, 2, "mystery")
 
 
 class TestVerifyIdentity:
@@ -413,8 +422,8 @@ class TestVerifyIdentity:
 
     def test_monotone_truncation(self, tc3):
         """The H=4 product restricted to height <= 3 equals the H=3 run."""
-        p4 = product_side(tc3, 4)
-        p3 = product_side(tc3, 3)
+        p4 = _product(tc3, 4)
+        p3 = _product(tc3, 3)
         for h in range(4):
             assert p4.buckets[h] == p3.buckets[h]
 
@@ -428,7 +437,7 @@ class TestVerifyIdentity:
         monkeypatch.setattr(dn, "_factor_list", refuse)
         monkeypatch.setattr(lattices, "mat_vec", refuse)
         rows = dict(tc7.lorentzian.rows)
-        assert dn.verify_identity(7, 8, jobs=2, tc=tc7).passed
+        assert dn.verify_identity(7, 8, tc=tc7).passed
         assert tc7.lorentzian.rows == rows
 
     def test_series_caches_rebuilt_once(self, monkeypatch):
@@ -451,7 +460,7 @@ class TestVerifyIdentity:
             raise AssertionError("series product on the verifier's path")
         monkeypatch.setattr(LatticeSeries, "mul_series", refuse)
         monkeypatch.setattr(LatticeSeries, "mul_factor", refuse)
-        assert verify_identity(7, 8, jobs=2, tc=tc7).passed
+        assert verify_identity(7, 8, tc=tc7).passed
 
     @staticmethod
     def _perturb(monkeypatch, off_axis_only=False):
@@ -469,7 +478,7 @@ class TestVerifyIdentity:
 
     def test_perturbed_multiplicity_fails(self, tc3, monkeypatch):
         self._perturb(monkeypatch)
-        r = dn.verify_identity(3, 3, form="theorem1", tc=tc3)
+        r = dn.verify_identity(3, 3, tc=tc3)
         assert not r.passed
         # (location, expected, got), pinned from the tuple-keyed accumulator
         assert r.first_discrepancy == (((0, 0, 0, 0), 1, 1), 0, -2)
@@ -479,7 +488,7 @@ class TestVerifyIdentity:
         """A perturbation away from r* = 0: the reported location has
         negative coordinates and is the least (height, m, r*)."""
         self._perturb(monkeypatch, off_axis_only=True)
-        r = dn.verify_identity(3, 3, form="theorem1", tc=tc3)
+        r = dn.verify_identity(3, 3, tc=tc3)
         assert r.first_discrepancy == (((-3, -1, 2, 3), 1, 2), 0, -2)
         assert not r.anisotropic_ok
 
@@ -511,22 +520,20 @@ class TestPackedPipeline:
     def test_matches_factor_list(self, order, height, tc1, tc3, tc7):
         tc = {1: tc1, 3: tc3, 7: tc7}[order]
         rank = tc.fixed.rank
-        vectors = lattice_vectors(tc, LatticeSeries(height, rank))
-        counts = {}
-        for form in ("split", "theorem1"):
-            factors = dn._factor_list(tc, height, form)
-            L, counts[form] = lattice_log_derivative(tc, vectors, height,
-                                                     form)
-            assert L.buckets == log_derivative(factors, height, rank).buckets
-            assert counts[form] == len(factors)
-            assert dn._anisotropic_ok(exponential(L), vectors)
-            r = verify_identity(order, height, form=form, tc=tc)
-            assert r.passed and r.factor_count == len(factors)
-        # split form counts c1 and c2 apart on N L*, theorem1 one per root
-        assert (counts["split"] > counts["theorem1"]) == (order > 1)
+        vectors = _vectors(tc, height)
+        factors = dn._factor_list(tc, height, "split")
+        L, count = lattice_log_derivative(tc, vectors, height)
+        assert L.buckets == log_derivative(factors, height, rank).buckets
+        assert count == len(factors)
+        assert dn._anisotropic_ok(exponential(L), vectors)
+        r = verify_identity(order, height, tc=tc)
+        assert r.passed and r.factor_count == len(factors)
+        # the split list counts c1 and c2 apart on N L*, theorem1 one
+        # factor per root
+        assert (count > len(dn._factor_list(tc, height, "theorem1"))) == \
+            (order > 1)
         assert sum_side(tc, height, vectors).buckets == \
             self._reference_sum_side(tc, height).buckets
-        assert sum_side(tc, height) == sum_side(tc, height, vectors)
 
     def test_pack_bound_on_largest_digit(self, tc7):
         """Every enumerated vector's G c passes through pack: a coordinate

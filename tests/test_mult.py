@@ -321,7 +321,7 @@ class TestNegativeControls:
         """(0; 0, 3) is the first point with 3 | (alpha, L); its d = 3 term
         reads the dimension at (0; 0, 1), q^{1/2}, with weight 1/3."""
         tc = TwistClass(3)
-        label = tc.coset_label_of(LorentzianPoint(_zero(tc), 0, 1))
+        label = tc.lorentzian.rows[_zero(tc)].label
         monkeypatch.setitem(tc.gf_dim_by_coset, label,
                             _bumped(tc.gf_dim_by_coset[label], F(1, 2), by))
         point = LorentzianPoint(_zero(tc), 0, 3)
