@@ -1,12 +1,15 @@
 """Exact integer and rational linear algebra used by the lattice engine.
 
-Matrices are lists of lists (row-major).  Integer routines never leave the
-integers; rational routines use Fraction throughout.
+Matrices are lists of lists (row-major).  Every routine runs in ints: a
+rational matrix is a Scaled, int rows over one positive denominator, and
+Fraction appears only in the readable form built by fractions().
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
 
 # ----------------------------------------------------------------------
@@ -128,10 +131,40 @@ def snf_invariants(a: list[list[int]]) -> list[int]:
 
 
 # ----------------------------------------------------------------------
-# rational matrices
+# rational matrices as int rows over one denominator
+
+class Scaled(NamedTuple):
+    """The rational matrix rows / den, rows ints and den > 0."""
+
+    rows: tuple
+    den: int
+
+
+def reduced(rows, den: int) -> Scaled:
+    """rows / den in lowest terms, as tuples."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if den < 0:
+        g = -g
+    return Scaled(tuple(tuple(x // g for x in row) for row in rows), den // g)
+
+
+def scaled(m) -> Scaled:
+    """A matrix of ints and Fractions, or a Scaled, as a Scaled in lowest
+    terms, built without a Fraction."""
+    if isinstance(m, Scaled):
+        return reduced(*m)
+    d = lcm(1, *(x.denominator for row in m for x in row))
+    return Scaled(tuple(tuple(x.numerator * (d // x.denominator) for x in row)
+                        for row in m), d)
+
+
+def fractions(m: Scaled):
+    """The entries of m as Fractions: the readable form."""
+    return tuple(tuple(Fraction(x, m.den) for x in row) for row in m.rows)
+
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)]
             for i in range(n)]
 
@@ -140,42 +173,43 @@ def mat_vec(a, v):
     return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
 
 
-def mat_inv(a):
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
+def _gauss_jordan(a, aug):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of the int rows
+    [a | aug], a square: (d, s, [d I | d a^-1 aug]) with d = s det(a), s =
+    +-1, or (0, 1, None) for a singular a.  Every division is exact."""
     n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(1) if i == j else Fraction(0)
-                                          for j in range(n)]
-            for i, row in enumerate(a)]
+    work = [list(r) + list(x) for r, x in zip(a, aug)]
+    prev, sign = 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if work[r][col]), None)
         if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def det(a):
-    """Determinant of a square rational matrix (fraction-free would do too)."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] for row in a]
-    d = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
+            return 0, 1, None
         if piv != col:
             work[col], work[piv] = work[piv], work[col]
-            d = -d
-        d *= work[col][col]
-        inv = 1 / work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col]:
-                f = work[r][col] * inv
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return d
+            sign = -sign
+        p, top = work[col][col], work[col]
+        for r in range(n):
+            f = work[r][col]
+            if r != col:
+                work[r] = [(p * x - f * y) // prev
+                           for x, y in zip(work[r], top)]
+        prev = p
+    return prev, sign, work
+
+
+def mat_inv(a) -> Scaled:
+    """Inverse of a square rational matrix as int rows over a denominator,
+    by fraction-free elimination."""
+    rows, s = scaled(a)
+    n = len(rows)
+    d, _, work = _gauss_jordan(
+        rows, [[s if i == j else 0 for j in range(n)] for i in range(n)])
+    if work is None:
+        raise ZeroDivisionError("singular matrix")
+    return reduced([row[n:] for row in work], d)
+
+
+def det(a) -> int:
+    """Determinant of a square int matrix, by fraction-free elimination."""
+    d, sign, _ = _gauss_jordan(a, [()] * len(a))
+    return sign * d

