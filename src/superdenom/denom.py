@@ -25,9 +25,15 @@ times the key of alpha.  So L = theta log F is one loop over (h, m) and the
 norm classes q <= 2mn, with one dict update per (vector, odd k)
 (lattice_log_derivative), and F comes back from L by Miller's recurrence
 t F_t = sum_j L_j F_(t-j), whose division by t is exact (exponential).
-product_side is the verifier's product stage: the fused L, then its
-exponential.  The sum side reads the same buckets at q = 2mn.  All
-coefficients are exact integers.
+A multiplicity depends only on alpha^2 and on N-divisibility, so L and F
+are invariant under the two mirrors of L that keep L^+ and the height,
+r* -> -r* and m <-> n, and exp commutes with both.  exponential first
+checks exactly that every bucket of L is invariant (ValueError
+otherwise), then computes t F_t only on the quarter of each bucket with
+m <= t // 2 and packed r* >= 0, which holds one key of every orbit, and
+writes each quotient at its images.  product_side is the verifier's
+product stage: the fused L, then its exponential.  The sum side reads
+the same buckets at q = 2mn.  All coefficients are exact integers.
 
 The factor list over the cone of L* (_factor_list), its log derivative
 (log_derivative) and the factor-by-factor in-place accumulator
@@ -39,6 +45,7 @@ looks their names up.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -247,30 +254,152 @@ def log_derivative(factors, max_height: int, rank: int) -> LatticeSeries:
     return L
 
 
+def _quarter(t: int, bucket: dict, unit: int, bits: int) -> dict:
+    """The keys of bucket t of L with m <= t // 2 and packed r* >= 0, and
+    their values; ValueError unless the bucket is invariant under r* -> -r*
+    and m <-> n.
+
+    Every orbit of the two mirrors has exactly one key in the quarter, so
+    the bucket is invariant exactly when each quarter key's images carry
+    its value and the orbits of the quarter account for every key.  The
+    images of k = m unit + r* are 2 m unit - k (r* -> -r*), t unit - k
+    (both) and t unit - 2 m unit + k (m <-> n).
+    """
+    half, tu, b1 = unit >> 1, t * unit, bits + 1
+    # a key is below bound exactly when its m is at most t // 2, and its
+    # packed r* is >= 0 exactly when bit bits - 1 of the key is clear
+    bound = (t // 2 + 1) * unit - half
+    quarter = {k: v for k, v in bucket.items() if k < bound and not k & half}
+    size = 0
+    try:
+        for k, v in quarter.items():
+            m = k >> bits
+            if 2 * m == t:  # m <-> n fixes the row: its keys' images agree
+                rk = tu - k
+                if bucket[rk] != v:
+                    break
+                size += 1 if rk == k else 2
+            else:
+                rk = (m << b1) - k
+                if bucket[rk] != v or bucket[tu - k] != v \
+                        or bucket[tu - rk] != v:
+                    break
+                size += 2 if rk == k else 4
+        else:
+            if size == len(bucket):
+                return quarter
+    except KeyError:
+        pass
+    raise ValueError(
+        f"L is not invariant under r* -> -r* and m <-> n at height {t}")
+
+
+def _unfold(t: int, quarter, values: dict, unit: int, bits: int):
+    """Bucket t, invariant under both mirrors, from the keys of its quarter
+    and a dict holding their values, as (keys, values, m_lo, starts), or
+    None if it is empty.
+
+    keys ascend, and row m, the keys in [m unit - unit/2, m unit + unit/2),
+    is keys[starts[m - m_lo]:starts[m - m_lo + 1]] for m from m_lo to
+    t - m_lo.  Row m <= t // 2 is the quarter's row preceded by its mirror
+    under r* -> -r* (the key m unit, r* = 0, is its own mirror), and row
+    m > t // 2 is row t - m moved by m <-> n.
+    """
+    if not quarter:
+        return None
+    ckeys = sorted(quarter)
+    cvals = list(map(values.__getitem__, ckeys))
+    m_lo = ckeys[0] >> bits
+    rows, s = [], 0
+    for m in range(m_lo, t // 2 + 1):
+        e = bisect_left(ckeys, (m + 1) * unit, s)
+        row, rv = ckeys[s:e], cvals[s:e]
+        z = 1 if row and row[0] == m * unit else 0
+        rows.append((list(map((2 * m * unit).__sub__, reversed(row[z:])))
+                     + row, rv[z:][::-1] + rv))
+        s = e
+    keys, vals, starts = [], [], [0]
+    for m in range(m_lo, t - m_lo + 1):
+        if 2 * m <= t:
+            row, rv = rows[m - m_lo]
+        else:
+            row, rv = rows[t - m - m_lo]
+            row = map(((2 * m - t) * unit).__add__, row)
+        keys += row
+        vals += rv
+        starts.append(len(keys))
+    return keys, vals, m_lo, starts
+
+
 def exponential(L: LatticeSeries) -> LatticeSeries:
     """The series F with F_0 = 1 and theta log F = L (L's bucket 0 unread).
 
-    Miller's recurrence t F_t = sum_{j=1..t} L_j F_(t-j), each product
-    summed from the smaller of its two buckets.  F has integer coefficients
-    exactly when every division by t is exact; ArithmeticError otherwise.
+    Miller's recurrence t F_t = sum_{j=1..t} L_j F_(t-j), summed only on
+    the quarter of bucket t with m <= t // 2 and packed r* >= 0: each
+    term of the smaller of L_j and F_(t-j) meets, row by row, the slice of
+    the larger that lands there.  L must be invariant under r* -> -r* and
+    under m <-> n (ValueError otherwise); then so is F, and the quarter
+    fills the rest of each bucket.  F has integer coefficients exactly when
+    every division by t is exact; ArithmeticError otherwise.
     """
-    F = LatticeSeries.one(L.max_height, L.rank)
-    for t in range(1, L.max_height + 1):
-        acc: dict[int, int] = {}
-        for j in range(1, t + 1):
-            small, big = L.buckets[j], F.buckets[t - j]
-            if len(small) > len(big):
-                small, big = big, small
-            for code, c in small.items():
-                _shift_add(acc, big, code, c)
-        bucket = F.buckets[t]
-        for code, v in acc.items():
-            q, r = divmod(v, t)
-            if r:
-                raise ArithmeticError(
-                    f"L is not theta log of an integer series: remainder "
-                    f"at height {t}")
-            bucket[code] = q
+    H = L.max_height
+    bits = _DIGIT_BITS * L.rank
+    unit, b1 = 1 << bits, bits + 1
+    quarters = [None] + [_quarter(t, L.buckets[t], unit, bits)
+                         for t in range(1, H + 1)]
+    # bucket j < H of L meets F_(t-j) with t - j >= 1, so it is read by
+    # rows; bucket H meets only F_0, that is, only its quarter is read
+    Ls = [None] + [_unfold(j, quarters[j], quarters[j], unit, bits)
+                   for j in range(1, H)]
+    F = LatticeSeries.one(H, L.rank)
+    Fs = [([0], [1], 0, [0, 1])]  # F_0 = 1 as _unfold gives it
+    for t in range(1, H + 1):
+        top = t // 2
+        acc = quarters[t]  # L_t F_0
+        get = acc.get
+        for j in range(1, t):
+            a, b = Ls[j], Fs[t - j]
+            if a is None or b is None:
+                continue
+            if len(a[0]) > len(b[0]):
+                a, b = b, a
+            akeys, avals, a_lo, astarts = a
+            bkeys, bvals, b_lo, bstarts = b
+            for ia in range(len(astarts) - 1):
+                ma = a_lo + ia
+                # the rows of b that land at m <= top
+                b_rows = range(min(top - ma - b_lo + 1, len(bstarts) - 1))
+                if not b_rows:
+                    break
+                s, e = astarts[ia], astarts[ia + 1]
+                base = ma * unit
+                for ka, ca in zip(akeys[s:e], avals[s:e]):
+                    least = base - ka  # the least packed r*_b, -r*_a
+                    for ib in b_rows:
+                        be = bstarts[ib + 1]
+                        bs = bisect_left(bkeys, (b_lo + ib) * unit + least,
+                                         bstarts[ib], be)
+                        for kb, cb in zip(bkeys[bs:be], bvals[bs:be]):
+                            kb += ka
+                            acc[kb] = get(kb, 0) + ca * cb
+        # t F_t on the quarter; each quotient goes to its images
+        bucket, tu = F.buckets[t], t * unit
+        for k, v in acc.items():
+            if v:
+                q = v // t
+                if q * t != v:
+                    raise ArithmeticError(
+                        f"L is not theta log of an integer series: "
+                        f"remainder at height {t}")
+                bucket[k] = q
+                m = k >> bits
+                rk = (m << b1) - k
+                bucket[rk] = q
+                if 2 * m != t:
+                    bucket[tu - k] = bucket[tu - rk] = q
+        # F_H is read by nobody, so it needs no rows
+        Fs.append(_unfold(t, [k for k, v in acc.items() if v], bucket,
+                          unit, bits) if t < H else None)
     return F
 
 

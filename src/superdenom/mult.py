@@ -77,10 +77,11 @@ class TwistClass:
         self._prec = self.INITIAL_PREC
         # dimension series need theta enumeration of the complement, whose
         # cost grows quickly with precision; they are only ever read at the
-        # small exponents of alpha/N, so they get their own precision
+        # small exponents of alpha/N, so they get their own precision; only
+        # verify mult reads them, so gf_dim_by_coset builds them on first read
         self._dim_prec = 4
+        self._gf_dim = None
         self._build_series_caches()
-        self._build_dim_caches()
 
     def _build_series_caches(self):
         p = Fraction(self._prec)
@@ -89,15 +90,27 @@ class TwistClass:
         self.c = c_series(self.order, p)
         self.tail = tail_series(self.order, p)
 
-    def _build_dim_caches(self):
+    @property
+    def gf_dim_by_coset(self) -> dict:
+        """Coset label -> dimension series, built on first read."""
+        if self._gf_dim is None:
+            self._gf_dim = self._dim_series()
+        return self._gf_dim
+
+    def _dim_series(self) -> dict:
         p = Fraction(self._dim_prec)
-        gfs = self.gf_dim_by_coset = {}
+        gfs = {}
         for lab, shift in self.shift_table.items():
             # r-perp and -r-perp have one theta series, and -r-perp is a
             # shift of the coset of -r
             neg = self.disc.coset_label([-x for x in lab])
             gfs[lab] = gfs[neg] if neg in gfs else dim_gf(
                 theta_coset(self.complement, shift, p), p)
+        return gfs
+
+    def _build_dim_caches(self):
+        """Rebuild the dimension series at a grown precision (_need_dim)."""
+        self._gf_dim = self._dim_series()
 
     def _need(self, exponent):
         """Grow the trace/series caches past the given exponent (an int or
@@ -108,11 +121,13 @@ class TwistClass:
             self._build_series_caches()
 
     def _need_dim(self, exponent):
-        """Grow the dimension caches past the given exponent, as _need."""
+        """Grow the dimension caches past the given exponent, as _need; a
+        cache not yet built is built at the grown precision on first read."""
         if exponent >= self._dim_prec:
             while self._dim_prec <= exponent:
                 self._dim_prec *= 2
-            self._build_dim_caches()
+            if self._gf_dim is not None:
+                self._build_dim_caches()
 
     # -- coefficient services -------------------------------------------
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import denom_oracle as oracle
 import superdenom.denom as dn
 from superdenom import lattices
 from superdenom.denom import (LatticeSeries, accumulated_product,
@@ -276,18 +277,59 @@ def _mult_factor_lists(draw):
     return rank, H, factors
 
 
+def _mirrored(factors):
+    """The factor list closed under r* -> -r* and m <-> n: each factor
+    with its three images, so that its log derivative is invariant."""
+    return [(LorentzianPoint(rc, m, n), me, mo)
+            for p, me, mo in factors
+            for rc in (p.rcoords, tuple(-x for x in p.rcoords))
+            for m, n in ((p.m, p.n), (p.n, p.m))]
+
+
 class TestExpOfLogDerivative:
     """The exponential of the log derivative against the accumulator it
-    replaced on the verifier's path."""
+    replaced on the verifier's path, and against the exponential of every
+    key (tests/denom_oracle.py) that the mirror-quarter kernel replaced."""
 
     @settings(max_examples=150, deadline=None)
     @given(_mult_factor_lists(), st.integers(1, 3))
     def test_matches_mul_factor_chain(self, case, jobs):
+        """Random lists, not closed under the mirrors, through the
+        exponential of every key."""
         rank, H, factors = case
-        new = _expand(factors, H, rank)
+        new = oracle.exponential(log_derivative(factors, H, rank))
         ref = accumulated_product(factors, H, rank, jobs)
         assert new.items() == ref.items()
         assert new.term_count() == ref.term_count()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mult_factor_lists(), st.integers(1, 3))
+    def test_mirrored_lists_match_oracle(self, case, jobs):
+        rank, H, factors = case
+        factors = _mirrored(factors)
+        L = log_derivative(factors, H, rank)
+        new = exponential(L)
+        assert new.items() == oracle.exponential(L).items()
+        ref = accumulated_product(factors, H, rank, jobs)
+        assert new.items() == ref.items()
+        assert new.term_count() == ref.term_count()
+
+    @pytest.mark.parametrize("order,height", [
+        (1, 2), (1, 3), (1, 4), (3, 5), (3, 9), (7, 12), (7, 18)])
+    def test_verifier_product_matches_oracle(self, order, height,
+                                             tc1, tc3, tc7):
+        tc = {1: tc1, 3: tc3, 7: tc7}[order]
+        L, _ = lattice_log_derivative(tc, _vectors(tc, height), height)
+        new = exponential(L)
+        assert new.buckets == oracle.exponential(L).buckets
+        assert new.term_count() > height
+
+    def test_non_cone_points_match_oracle(self):
+        """m < 0 or n < 0 at positive height: rows run past 0..t."""
+        factors = _mirrored([(LorentzianPoint((2, -1), -1, 2), 1, 2),
+                             (LorentzianPoint((0, 1), 3, -1), 2, 0)])
+        L = log_derivative(factors, 6, 2)
+        assert exponential(L) == oracle.exponential(L)
 
     @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 12)])
     def test_matches_at_real_sizes(self, order, height, tc1, tc3, tc7):
@@ -307,10 +349,42 @@ class TestExpOfLogDerivative:
                              (((3, -6), 3, 3), -8)]
 
     def test_non_integral_exponential_raises(self):
-        # L_1 = e^x alone: F_1 = e^x, then 2 F_2 = L_1 F_1 = e^2x
+        # L_1 = e^x + e^y, x = (0; 1, 0), y = (0; 0, 1): F_1 = e^x + e^y,
+        # then 2 F_2 = L_1 F_1 has coefficient 1 at 2x
         L = LatticeSeries(2, 1)
-        L.buckets[1][L.pack((0,), 1)] = 1
-        with pytest.raises(ArithmeticError):
+        L.buckets[1][L.pack((0,), 1)] = L.buckets[1][L.pack((0,), 0)] = 1
+        with pytest.raises(ArithmeticError, match="height 2"):
+            exponential(L)
+
+    @staticmethod
+    def _series(rank, height, terms):
+        L = LatticeSeries(height, rank)
+        for key, c in terms:
+            L.add_term(key, c)
+        return L
+
+    @pytest.mark.parametrize("terms", [
+        # e^(0; 1, 0) alone: its m <-> n image is missing
+        [(((0,), 1, 0), 1)],
+        # invariant under m <-> n only
+        [(((1,), 1, 1), 1)],
+        # invariant under r* -> -r* only
+        [(((1,), 2, 0), 1), (((-1,), 2, 0), 1)],
+        # every image of the quarter key (1; 0, 2) present, one with
+        # another value: under r* -> -r*, under both, under m <-> n
+        [(((1,), 0, 2), 1), (((-1,), 0, 2), 2), (((-1,), 2, 0), 1),
+         (((1,), 2, 0), 1)],
+        [(((1,), 0, 2), 1), (((-1,), 0, 2), 1), (((-1,), 2, 0), 2),
+         (((1,), 2, 0), 1)],
+        [(((1,), 0, 2), 1), (((-1,), 0, 2), 1), (((-1,), 2, 0), 1),
+         (((1,), 2, 0), 2)],
+        # an orbit whose quarter key (1; 0, 2) is missing: (-1; 2, 0) and
+        # (-1; 0, 2) beside the invariant (0; 1, 1), caught by the count
+        [(((0,), 1, 1), 3), (((-1,), 2, 0), 1), (((-1,), 0, 2), 1)],
+    ])
+    def test_asymmetric_log_derivative_raises(self, terms):
+        L = self._series(1, 2, terms)
+        with pytest.raises(ValueError, match="not invariant"):
             exponential(L)
 
     def test_invalid_factors_rejected(self):

@@ -7,7 +7,9 @@ from math import gcd
 
 import pytest
 
+from superdenom import mult
 from superdenom.arith import divisors, mobius
+from superdenom.denom import verify_identity
 from superdenom.etaq import trace_gf_even, trace_gf_odd
 from superdenom.lattices import LorentzianPoint, enumerate_coset
 from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity,
@@ -64,6 +66,36 @@ class TestConstruction:
         assert tc._prec == 96 and len(calls) == 1
         assert tc.gf_trace_even == trace_gf_even(tc.shape_V, 96)
         assert tc.gf_trace_odd == trace_gf_odd(tc.shape_L, tc.trace_l, 96)
+
+    def test_dimension_series_built_on_first_read(self, monkeypatch):
+        """Only trace_term at g^d = 1 reads the dimension series: building
+        a TwistClass and verifying a denominator identity enumerate no
+        coset theta of the complement."""
+        def refuse(*args):
+            raise AssertionError("coset theta of the complement")
+        monkeypatch.setattr(mult, "theta_coset", refuse)
+        tc = TwistClass(7)
+        assert verify_identity(7, 8, tc=tc).passed
+        assert tc._gf_dim is None
+        monkeypatch.undo()
+        # (0; 0, 7) has norm 0: its dimension is read at q^{1/2}
+        point = LorentzianPoint(_zero(tc), 0, 7)
+        label = tc.lorentzian.rows[point.rcoords].label
+        assert trace_term(tc, 7, point) == \
+            tc.gf_dim_by_coset[label].coeff(F(1, 2))
+
+    def test_dimension_series_grow_before_first_read(self):
+        """Growing the precision before the first read builds the series
+        once, at the grown precision, on that read; they equal the series
+        built at the initial precision and then regrown."""
+        tc, ref = TwistClass(3), TwistClass(3)
+        tc._need_dim(9)
+        assert tc._dim_prec == 16 and tc._gf_dim is None
+        built = tc.gf_dim_by_coset
+        assert built is tc.gf_dim_by_coset
+        assert ref.gf_dim_by_coset is not None
+        ref._need_dim(9)
+        assert ref._dim_prec == 16 and built == ref.gf_dim_by_coset
 
     def test_mobius(self):
         assert [mobius(n) for n in (1, 2, 3, 6, 7, 9, 12)] == \
