@@ -11,8 +11,10 @@ hyperbolic plane II_{1,1} is fixed once and for all with Gram
 handled by LorentzianLattice below without an explicit ambient Lorentzian
 space.
 
-All enumeration is exact (Fincke-Pohst, rescaled once so that it runs on
-integers) and deterministic (lexicographic coordinate order).
+Point enumeration is exact (Fincke-Pohst, rescaled once so that it runs on
+integers) and deterministic (lexicographic coordinate order).  Theta series
+run on the same integer completion but count norms by shift class: one norm
+table per class of reduced centers, not one visit per point.
 """
 
 from __future__ import annotations
@@ -220,40 +222,45 @@ class DiscriminantGroup:
 # ----------------------------------------------------------------------
 # enumeration
 
-def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
-    """(points, T): every (coords, T*(x+s)^2) with (x + s)^2 <= max_norm.
-
-    s is a one-row Scaled of shift coordinates, or None for 0.  Everything
-    is rescaled to integers once so the recursion runs on plain ints: with M
-    a common denominator of s and the lattice's fincke_pohst data, the
-    offset centers live on the grid (1/M^2)Z and the partial norms are
-    tracked as q * T for a fixed global scale T, so every returned norm is
-    an int.
-    Each level's center is a running partial sum, moved by one column step
-    when a higher coordinate moves, and its range of x_i is exact: every x_i
-    with d_i (M^2 x_i + center)^2 <= remaining, from one isqrt.  The last
-    coordinate is a loop inside its parent level, not a level of its own.
-    Given a dict counts, each point only adds one to counts[T*(x+s)^2] and
-    points is empty.
-    """
+def _integer_form(lattice: IntegralLattice, s, max_norm):
+    """(M, T, sN, cN, dN, R0, step): the Fincke-Pohst data of the coset
+    s + L rescaled to ints, s a one-row Scaled of shift coordinates or None
+    for 0.  With M a common denominator of s and the lattice's fincke_pohst
+    data, the offset centers live on the grid (1/M^2)Z and norms are
+    tracked as q * T for a fixed global scale T, so every norm is an int:
+    sN = M*s, cN = M*c, dN = d*T/M^4, R0 = T*max_norm, and step[i][k] is
+    how far the center of level k < i moves when x_i grows by 1."""
     n = lattice.rank
     d, c = lattice.fincke_pohst
     s = s or Scaled(((0,) * n,), 1)
     M = lcm(c.den, s.den)
     dden = lcm(d.den, max_norm.denominator)
     T = dden * M ** 4
-    m2 = M * M
-    # integer data: sN = M*s, cN = M*c, dN = d*T/M^4
-    sN = [x * (M // s.den) for x in s.rows[0]]
     cN = [[x * (M // c.den) for x in row] for row in c.rows]
-    dN = [row[0] * (dden // d.den) for row in d.rows]
-    R0 = max_norm.numerator * (T // max_norm.denominator)
+    return (M, T, [x * (M // s.den) for x in s.rows[0]], cN,
+            [row[0] * (dden // d.den) for row in d.rows],
+            max_norm.numerator * (T // max_norm.denominator),
+            [[cN[k][i] * M for k in range(i)] for i in range(n)])
+
+
+def _enumerate_scaled(lattice: IntegralLattice, s, max_norm):
+    """(points, T): every (coords, T*(x+s)^2) with (x + s)^2 <= max_norm.
+
+    s is a one-row Scaled of shift coordinates, or None for 0.  Everything
+    is rescaled to integers once (_integer_form), so the recursion runs on
+    plain ints and every returned norm is an int.
+    Each level's center is a running partial sum, moved by one column step
+    when a higher coordinate moves, and its range of x_i is exact: every x_i
+    with d_i (M^2 x_i + center)^2 <= remaining, from one isqrt.  The last
+    coordinate is a loop inside its parent level, not a level of its own.
+    """
+    n = lattice.rank
+    M, T, sN, cN, dN, R0, step = _integer_form(lattice, s, max_norm)
+    m2 = M * M
     if n == 0:
         return [((), 0)], T
     out = []
     x = [0] * n
-    # step[i][k]: how far the center of level k < i moves when x_i grows by 1
-    step = [[cN[k][i] * M for k in range(i)] for i in range(n)]
 
     def recurse(i, remaining, centers):
         """Every x_i..x_0 below the fixed higher coordinates, centers[k]
@@ -265,17 +272,10 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
         z = m2 * lo + center  # M^2 * (x_i + offset)
         if i == 0:
             top = R0 - remaining
-            if counts is None:
-                for xi in range(lo, hi + 1):
-                    x[0] = xi
-                    out.append((tuple(x), top + di * z * z))
-                    z += m2
-            else:
-                get = counts.get
-                for _ in range(lo, hi + 1):
-                    q = top + di * z * z
-                    counts[q] = get(q, 0) + 1
-                    z += m2
+            for xi in range(lo, hi + 1):
+                x[0] = xi
+                out.append((tuple(x), top + di * z * z))
+                z += m2
             return
         yi = M * lo + sN[i]
         below = [centers[k] + cN[k][i] * yi for k in range(i)]
@@ -291,6 +291,77 @@ def _enumerate_scaled(lattice: IntegralLattice, s, max_norm, counts=None):
     # soon as the caller drops it, not at the next full collection
     del recurse
     return out, T
+
+
+def _theta_counts(lattice: IntegralLattice, s, max_norm):
+    """(counts, T): counts[q] is the number of x with T*(x+s)^2 = q, for
+    every q <= T*max_norm, summed by shift class instead of by point.
+
+    s, max_norm and the integer scale are those of _enumerate_scaled, and
+    the rank is at least 1.  Below level i of the completion, the partial
+    norms depend only on the centers of levels 0..i.  Moving x_k by t moves
+    center k by t*M^2 and every lower center by t*step[k], so the centers
+    reduced level by level into [0, M^2) name a class whose partial norms
+    are one multiset.  A class's table (norm -> count, ascending) is summed
+    to the bound its first node needs, and once more to R0 if a later node
+    needs more; a level-i node adds its sub-table shifted by d_i z^2, up to
+    its own bound less d_i z^2.  Every point is counted once, exactly.
+    """
+    M, T, sN, cN, dN, R0, step = _integer_form(lattice, s, max_norm)
+    m2 = M * M
+    memo: dict[tuple, tuple] = {}  # class -> (bound, its table to bound)
+
+    def canonical(centers):
+        """The class of centers[0..i]: each center reduced into [0, M^2)
+        from the top level down, the lower centers following."""
+        for i in range(len(centers) - 1, -1, -1):
+            t = centers[i] // m2
+            if t:
+                centers[i] -= t * m2
+                for k, sk in enumerate(step[i]):
+                    centers[k] -= t * sk
+        return tuple(centers)
+
+    def table(key, bound):
+        """[(q, count), ...] ascending, every q <= bound, of the class key."""
+        i = len(key) - 1
+        center, di = key[i], dN[i]
+        r = isqrt(bound // di)
+        lo, hi = -((r + center) // m2), (r - center) // m2
+        z = m2 * lo + center  # M^2 * (x_i + offset)
+        out: dict[int, int] = {}
+        get = out.get
+        if i == 0:
+            for _ in range(lo, hi + 1):
+                q = di * z * z
+                out[q] = get(q, 0) + 1
+                z += m2
+            return sorted(out.items())
+        # level k < i moves by c_ki (x_i + s_i), s_i included
+        yi = M * lo + sN[i]
+        below = [key[k] + cN[k][i] * yi for k in range(i)]
+        col = step[i]
+        for _ in range(lo, hi + 1):
+            a = di * z * z
+            cut = bound - a
+            sub_key = canonical(below[:])
+            got = memo.get(sub_key)
+            if got is None or got[0] < cut:
+                # summed at most twice: to this bound, then to R0
+                b = cut if got is None else R0
+                got = memo[sub_key] = (b, table(sub_key, b))
+            for q, k in got[1]:
+                if q > cut:
+                    break
+                q += a
+                out[q] = get(q, 0) + k
+            z += m2
+            below = list(map(add, below, col))
+        return sorted(out.items())
+
+    counts = dict(table(canonical([M * f for f in sN]), R0))
+    del table  # the closure refers to itself, as in _enumerate_scaled
+    return counts, T
 
 
 def vectors_by_norm(lattice: IntegralLattice, max_norm: int):
@@ -340,8 +411,7 @@ def theta_coset(lattice: IntegralLattice, shift, prec) -> QSeries:
     if lattice.rank == 0:
         return QSeries.one(trunc=prec)
     s = None if shift is None else lattice._coords([shift])
-    counts: dict[int, int] = {}
-    _, T = _enumerate_scaled(lattice, s, 2 * prec, counts)
+    counts, T = _theta_counts(lattice, s, 2 * prec)
     # count k at key q is the term k*q^{q/2T}; keys at or past prec are
     # dropped by the truncation
     return QSeries(2 * T, counts, prec)

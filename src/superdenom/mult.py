@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .arith import divisors, mobius
@@ -75,20 +76,28 @@ class TwistClass:
         self.shift_table = build_coset_shift_table(self.fixed, self.e8,
                                                    self.disc)
         self._prec = self.INITIAL_PREC
-        # dimension series need theta enumeration of the complement, whose
-        # cost grows quickly with precision; they are only ever read at the
-        # small exponents of alpha/N, so they get their own precision; only
-        # verify mult reads them, so gf_dim_by_coset builds them on first read
+        # dimension series are only ever read at the small exponents of
+        # alpha/N, so they get their own precision and need coset thetas of
+        # the complement only that far; only verify mult reads them, so
+        # gf_dim_by_coset builds them on first read
         self._dim_prec = 4
         self._gf_dim = None
         self._build_series_caches()
 
     def _build_series_caches(self):
+        """(Re)build c and tail at the current precision, and drop the trace
+        series, which gf_trace_even and gf_trace_odd rebuild on first read."""
         p = Fraction(self._prec)
-        self.gf_trace_even, self.gf_trace_odd = trace_gfs(
-            self.shape_V, self.shape_L, self.trace_l, p)
         self.c = c_series(self.order, p)
         self.tail = tail_series(self.order, p)
+        for name in ("_trace_gfs", "gf_trace_even", "gf_trace_odd"):
+            self.__dict__.pop(name, None)
+
+    # only trace_term reads the trace series
+    _trace_gfs = cached_property(lambda self: trace_gfs(
+        self.shape_V, self.shape_L, self.trace_l, Fraction(self._prec)))
+    gf_trace_even = cached_property(lambda self: self._trace_gfs[0])
+    gf_trace_odd = cached_property(lambda self: self._trace_gfs[1])
 
     @property
     def gf_dim_by_coset(self) -> dict:

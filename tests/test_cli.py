@@ -131,6 +131,19 @@ class TestUnreadFlags:
         assert report["params"]["height"] == "99"
 
 
+class TestThetaStretch:
+    @pytest.mark.parametrize("order", [3, 7])
+    def test_prec_40_passes(self, capsys, order):
+        """Every coset theta of the complement equals its eta multisection
+        to q^40; the order-7 run took 7 s with one visit per point."""
+        code, report, _ = run_json(capsys, "verify", "theta", "--order",
+                                   str(order), "--prec", "40")
+        assert code == 0 and report["status"] == "pass"
+        assert len(report["checks"]) == {3: 9, 7: 7}[order]
+        assert all(c["pass"] and c["range"] == "q^0..q^40"
+                   for c in report["checks"])
+
+
 class TestReports:
     def test_json_report_shape(self, capsys):
         code, report, _ = run_json(capsys, "verify", "lattice",

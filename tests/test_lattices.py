@@ -5,6 +5,8 @@ from itertools import product
 from math import ceil, floor, gcd, isqrt, lcm
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import lattice_oracle as oracle
 from superdenom.intlinalg import (Scaled, det, fractions, hnf,
@@ -379,6 +381,82 @@ class TestCountOnlyTheta:
             th = theta_coset(lat, shift, prec)
             assert th.trunc == prec and th == \
                 QSeries.from_terms(counts.items(), trunc=F(prec)), shift
+
+
+def _same_theta(lat, shift, prec):
+    """theta_coset equals the oracle's point-by-point count exactly, on the
+    oracle's Fraction copy of the lattice."""
+    th = theta_coset(lat, shift, prec)
+    ref = oracle.theta_coset(oracle.IntegralLattice(lat.basis), shift, prec)
+    assert (th.expdenom, th.terms, th.trunc) == \
+        (ref.expdenom, ref.terms, ref.trunc), (shift, prec)
+    return th
+
+
+def _disc_shifts(lat):
+    """One ambient dual vector per coset of L*/L: the exponent D kills the
+    group, so the dual coordinates in [0, D)^n reach every coset."""
+    disc, dual = lat.discriminant_group(), lat.dual()
+    labels = {disc.coset_label(v) for v in
+              product(range(lat.scaled_gram_inv.den), repeat=lat.rank)}
+    assert len(labels) == disc.order
+    return [dual.vector(lab) for lab in sorted(labels)]
+
+
+class TestThetaByShiftClass:
+    """theta_coset sums norm tables by shift class; every case equals the
+    oracle's one-visit-per-point count."""
+
+    @pytest.mark.parametrize("order", [3, 7])
+    def test_every_coset(self, twists, order):
+        for _, shift in sorted(twists[order].shift_table.items()):
+            assert _same_theta(twists[order].complement, shift, F(12)).terms
+
+    def test_e8(self):
+        assert _same_theta(e8_lattice(), None, F(4)).coeff(1) == 240
+
+    def test_skewed_fixed_lattice_and_dual(self, twists):
+        """The order-3 fixed lattice has Fincke-Pohst pivots 12, 2, 11/4,
+        3/22.  Its dual is run on the same shifts halved, so that s + L* is
+        a coset of L* in (1/2)L*."""
+        f = twists[3].fixed
+        d, _ = f.fincke_pohst
+        assert [x for x, in fractions(d)] == [12, 2, F(11, 4), F(3, 22)]
+        shifts = _disc_shifts(f)
+        assert len(shifts) == 9
+        for shift in shifts:
+            _same_theta(f, shift, F(6))
+            _same_theta(f.dual(), tuple(x / 2 for x in shift), F(3))
+
+    def test_rank_one_and_zero(self):
+        line = IntegralLattice([[3]])
+        for shift in (None, (F(1, 3),), (F(-5, 2),), (F(7),)):
+            _same_theta(line, shift, F(20))
+        th = _same_theta(IntegralLattice(()), None, F(5))
+        assert th.terms == {0: 1}
+
+    def test_shifts_back_to_back(self, twists):
+        """Two shifts on one lattice, run one after the other, each match
+        the oracle: nothing summed for one shift serves the other."""
+        lat = twists[7].complement
+        shifts = [s for _, s in sorted(twists[7].shift_table.items())]
+        a, b = shifts[1], shifts[2]
+        assert _same_theta(lat, a, F(8)) != _same_theta(lat, b, F(8))
+        _same_theta(lat, a, F(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.fractions(-3, 3, max_denominator=12), min_size=n,
+                 max_size=n))),
+        st.fractions(0, 8, max_denominator=4))
+    def test_random_grams(self, lattice_and_shift, prec):
+        """Gram B B^T of a random full-rank int B, random rational shift."""
+        basis, coords = lattice_and_shift
+        assume(det(basis) != 0)
+        lat = IntegralLattice(basis)
+        _same_theta(lat, lat.vector(coords), prec)
 
 
 def _ref_shift_table(fixed, container, disc):

@@ -50,9 +50,9 @@ class TestConstruction:
 
     @pytest.mark.parametrize("order", [1, 3, 7])
     def test_trace_caches_invert_once(self, order, monkeypatch):
-        """shape_V == shape_L at every shipped order, so a cache build
-        inverts the boson product once and still gives the two separate
-        generating functions."""
+        """shape_V == shape_L at every shipped order, so the first read of
+        the trace series after a regrowth inverts the boson product once and
+        still gives the two separate generating functions."""
         tc = TwistClass(order)
         assert tc.shape_V == tc.shape_L
         calls = []
@@ -63,9 +63,30 @@ class TestConstruction:
             return orig(self)
         monkeypatch.setattr(QSeries, "inverse", counted)
         tc._need(95)
-        assert tc._prec == 96 and len(calls) == 1
+        assert tc._prec == 96 and calls == []
+        even, odd = tc.gf_trace_even, tc.gf_trace_odd
+        assert len(calls) == 1
+        assert even == trace_gf_even(tc.shape_V, 96)
+        assert odd == trace_gf_odd(tc.shape_L, tc.trace_l, 96)
+
+    def test_trace_series_built_on_first_read(self, monkeypatch):
+        """Only trace_term reads the trace series: building a TwistClass and
+        verifying a denominator identity, through its regrowth from prec 24
+        to 96, never sum them.  A regrowth drops the ones already read."""
+        def refuse(*args):
+            raise AssertionError("trace series on the verifier's path")
+        monkeypatch.setattr(mult, "trace_gfs", refuse)
+        tc = TwistClass(7)
+        assert verify_identity(7, 18, tc=tc).passed
+        assert tc._prec == 96
+        monkeypatch.undo()
         assert tc.gf_trace_even == trace_gf_even(tc.shape_V, 96)
-        assert tc.gf_trace_odd == trace_gf_odd(tc.shape_L, tc.trace_l, 96)
+        tc._need(96)
+        got = tc.gf_trace_even, tc.gf_trace_odd
+        ref = (trace_gf_even(tc.shape_V, 192),
+               trace_gf_odd(tc.shape_L, tc.trace_l, 192))
+        assert [g.trunc for g in got] == [r.trunc for r in ref]
+        assert got == ref
 
     def test_dimension_series_built_on_first_read(self, monkeypatch):
         """Only trace_term at g^d = 1 reads the dimension series: building
