@@ -117,7 +117,7 @@ def verify_spin(cfg):
     rr = octonion.rho_R(u)
     expected = octonion.permutation_matrix(
         octonion.REFERENCE_ACTIONS[cfg.order])
-    shape = {1: "1^8", 3: "1^23^2", 7: "1^17^1"}[cfg.order]
+    shape = etaq.SHAPES[cfg.order].label()
     order = octonion.matrix_order(rv)
     shape_v = octonion.cycle_shape(rv).label()
     shape_l = octonion.cycle_shape(rl).label()

@@ -611,10 +611,7 @@ def sum_side(tc: TwistClass, max_height: int, vectors) -> LatticeSeries:
     vectors (r; m, n) with m, n >= 1 are the lattice vectors of norm 2mn
     (lattice_vectors) with gcd(m, n, c) = 1.
     """
-    tail = [tc.tail_coeff(k) for k in range(1, max_height + 1)]
-    if any(a.denominator != 1 for a in tail):
-        raise ValueError("tail coefficient is not an integer")
-    tail = [a.numerator for a in tail]
+    tail = [tc.tail_at(k) for k in range(1, max_height + 1)]
     out = LatticeSeries.one(max_height, tc.fixed.rank)
     buckets = out.buckets
     unit_m = out.pack((0,) * tc.fixed.rank, 1)

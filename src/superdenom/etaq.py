@@ -55,10 +55,6 @@ class CycleShape:
     def weight(self) -> int:
         return sum(a * b for a, b in self.cycles)
 
-    def trace_of_power(self, d: int) -> int:
-        """Trace of the d-th power of the represented map."""
-        return sum(a * b for a, b in self.cycles if d % a == 0)
-
     @property
     def trace(self) -> int:
         """Trace of the map itself: the number of fixed coordinates."""
@@ -71,6 +67,8 @@ class CycleShape:
 SHAPE_1_8 = CycleShape(((1, 8),))
 SHAPE_1232 = CycleShape(((1, 2), (3, 2)))
 SHAPE_1171 = CycleShape(((1, 1), (7, 1)))
+# the cycle shape of the twist of each shipped order, on V and on L alike
+SHAPES = {1: SHAPE_1_8, 3: SHAPE_1232, 7: SHAPE_1171}
 
 
 def eta_expand(spec: EtaQuotient, prec) -> QSeries:
@@ -192,41 +190,17 @@ def _odd_gf(p_plus: QSeries, boson_inverse: QSeries, trace_l: int):
     return gf.scaled(trace_l) * QSeries.monomial(Fraction(1, 2))
 
 
-def _raw_check(fermion_half: QSeries, p_plus: QSeries, trace_l: int):
-    """(ok, first discrepancy) of q^{-1/2} (P+ - P-)/2 = trace_l P+.  Both
-    sides are compared below the left side's truncation, prec - 1/2."""
-    lhs = fermion_half * QSeries.monomial(Fraction(-1, 2))
-    disc = lhs.first_difference(p_plus.scaled(trace_l))
-    return disc is None, disc
-
-
-def trace_gf_even(shape: CycleShape, prec) -> QSeries:
-    """Generating function of the even-part twisted traces.
-
-    The coefficient at q^{(1-n)/2} (n = alpha^2 <= 0) is the trace of the
-    twist on the even graded piece at a fixed-lattice vector of norm n.
-    """
-    prec = Fraction(prec)
-    return _fermion_half(shape, prec) * _boson_inverse(shape, prec)
-
-
-def trace_gf_odd(shape: CycleShape, trace_l: int, prec) -> QSeries:
-    """Generating function of the odd-part twisted traces.
-
-    trace_l is the common trace of the two spinor actions; the formula is
-    only valid when the two traces agree.
-    """
-    prec = Fraction(prec)
-    if trace_l == 0:
-        return QSeries.zero(trunc=prec)
-    return _odd_gf(cycle_product(shape, +1, False, prec),
-                   _boson_inverse(shape, prec), trace_l)
-
-
 def trace_gfs(shape_v: CycleShape, shape_l: CycleShape, trace_l: int,
               prec):
-    """(trace_gf_even(shape_v), trace_gf_odd(shape_l, trace_l)) at prec,
-    with one boson product and inverse for both when the shapes agree."""
+    """The even and odd twisted-trace generating functions at prec.
+
+    The even one is (P+ - P-)/2 / P0 over shape_v, its coefficient at
+    q^{(1-n)/2} (n = alpha^2 <= 0) the trace of the twist on the even graded
+    piece at a fixed-lattice vector of norm n.  The odd one is
+    trace_l q^{1/2} P+/P0 over shape_l, trace_l the common trace of the two
+    spinor actions; the formula is only valid when the two traces agree.
+    One boson product and inverse serve both when the shapes agree.
+    """
     prec = Fraction(prec)
     inverse = _boson_inverse(shape_v, prec)
     even = _fermion_half(shape_v, prec) * inverse
@@ -238,49 +212,32 @@ def trace_gfs(shape_v: CycleShape, shape_l: CycleShape, trace_l: int,
                          trace_l)
 
 
-def check_trace_identity(shape: CycleShape, trace_l: int, prec):
-    """Compare even and odd trace generating functions exactly.
-
-    Returns (ok, first_discrepancy_exponent_or_None).
-    """
-    even, odd = trace_gfs(shape, shape, trace_l, prec)
-    disc = even.first_difference(odd)
-    return disc is None, disc
-
-
-def check_raw_product_identity(shape: CycleShape, trace_l: int, prec):
-    """The identity in raw product form, before division by the boson part:
-
-    (1/2q^{1/2}) * (P+ - P-) = trace_l * prod_a (1 + q^{a n})^{b_a}
-    """
-    prec = Fraction(prec)
-    return _raw_check(_fermion_half(shape, prec),
-                      cycle_product(shape, +1, False, prec), trace_l)
-
-
 def verify_susy_identity(order: int, prec=50):
     """Twisted Jacobi / supersymmetry identity for a shipped twist order.
 
     Returns (ok, report) with report listing each sub-check and its first
-    discrepancy exponent, if any.  The two checks share their products:
-    four cycle products and one inversion in all.
+    discrepancy exponent, if any: the even and odd trace series of
+    SHAPES[order] agree, and so does the raw product form, before division
+    by the boson part, q^{-1/2} (P+ - P-)/2 = trace P+ below prec - 1/2.
+    The two checks share their products: four cycle products and one
+    inversion in all.
     """
-    shapes = {1: SHAPE_1_8, 3: SHAPE_1232, 7: SHAPE_1171}
-    if order not in shapes:
+    if order not in SHAPES:
         raise ValueError(f"unsupported twist order {order}")
-    shape = shapes[order]
+    shape = SHAPES[order]
     prec = Fraction(prec)
     half = _fermion_half(shape, prec)
     p_plus = cycle_product(shape, +1, False, prec)
     boson_inverse = _boson_inverse(shape, prec)
     # every shipped shape has a nonzero trace, so the odd side is
-    # trace_gf_odd's product formula
+    # trace_gfs's product formula
     d1 = (half * boson_inverse).first_difference(
         _odd_gf(p_plus, boson_inverse, shape.trace))
-    ok2, d2 = _raw_check(half, p_plus, shape.trace)
+    d2 = (half * QSeries.monomial(Fraction(-1, 2))).first_difference(
+        p_plus.scaled(shape.trace))
     checks = [("trace_gf_even_equals_odd", d1 is None, d1),
-              ("raw_product_identity", ok2, d2)]
-    return d1 is None and ok2, checks
+              ("raw_product_identity", d2 is None, d2)]
+    return d1 is None and d2 is None, checks
 
 
 def dim_gf(coset_theta: QSeries, prec) -> QSeries:

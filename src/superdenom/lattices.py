@@ -393,7 +393,8 @@ def enumerate_coset(lattice: IntegralLattice, shift, max_norm):
 
     shift is an ambient vector in the span of the lattice (or None for 0);
     the returned coordinates are relative to the lattice basis.  Order is
-    deterministic: ascending lexicographic from the last coordinate.
+    deterministic: ascending lexicographic from the first coordinate, so
+    Z^2 at max_norm 1 gives (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0).
     """
     max_norm = Fraction(max_norm)
     if max_norm < 0:
@@ -406,7 +407,12 @@ def enumerate_coset(lattice: IntegralLattice, shift, max_norm):
 
 
 def theta_coset(lattice: IntegralLattice, shift, prec) -> QSeries:
-    """Theta series sum_v q^{v^2/2} over the translated lattice shift + L."""
+    """Theta series sum_v q^{v^2/2} over the translated lattice shift + L.
+
+    Norms are summed by shift class, which pays off on lattices whose
+    classes repeat (E8, A2+A2, A6); on random rank-8 Grams, whose classes
+    rarely repeat, it is 1.6-2.1x slower than one visit per point.
+    """
     prec = Fraction(prec)
     if lattice.rank == 0:
         return QSeries.one(trunc=prec)
@@ -450,15 +456,6 @@ def matrix_action_on(lattice: IntegralLattice, m):
     if c.den != 1:
         raise ValueError("the map does not send the lattice into itself")
     return [list(col) for col in zip(*c.rows)]
-
-
-def preserves_lattice(lattice: IntegralLattice, m) -> bool:
-    """True if the ambient map sends the lattice into itself bijectively."""
-    try:
-        a = matrix_action_on(lattice, m)
-    except ValueError:
-        return False
-    return abs(det(a)) == 1
 
 
 def fixed_sublattice(m, lattice: IntegralLattice) -> IntegralLattice:
@@ -593,26 +590,12 @@ class LorentzianLattice:
         self.exponent = inv.den
         self.rows = _RowTable(inv.rows, self.exponent, self.disc)
 
-    def rstar_norm(self, rcoords) -> Fraction:
-        return Fraction(self.rows[rcoords].norm_scaled, self.exponent)
-
-    def norm(self, p: LorentzianPoint) -> Fraction:
-        return self.rstar_norm(p.rcoords) - 2 * p.m * p.n
-
     def pairing_divisor(self, p: LorentzianPoint) -> int:
         return gcd(p.m, p.n, self.rows[p.rcoords].gcd)
 
     def in_lattice(self, p: LorentzianPoint) -> bool:
         """Membership of the definite part in the fixed lattice itself."""
         return self.rows[p.rcoords].in_lattice
-
-    def in_n_dual(self, p: LorentzianPoint, n: int) -> bool:
-        """Membership in N*L*."""
-        return self.pairing_divisor(p) % n == 0
-
-    def in_n_lattice(self, p: LorentzianPoint, n: int) -> bool:
-        """Membership in N*L."""
-        return self.in_n_dual(p, n) and self.in_lattice(p.divide(n))
 
     # -- enumeration -----------------------------------------------------
 

@@ -153,9 +153,10 @@ class TwistClass:
         e = Fraction(exp)
         return self.c_at(e.numerator, e.denominator)
 
-    def tail_coeff(self, k: int) -> Fraction:
+    def tail_at(self, k: int) -> int:
+        """a(k): the tail-series coefficient at the integer k."""
         self._need(k)
-        return self.tail.coeff(k)
+        return _integer(self.tail.coeff_at(k, 1), "tail", k, 1)
 
 
 def _integer(v, name: str, num: int, den: int) -> int:

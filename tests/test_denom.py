@@ -1,5 +1,7 @@
 """Denominator-identity expander: factors, product, sum, reports."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from superdenom.denom import (LatticeSeries, accumulated_product,
                               lattice_vectors, log_derivative, product_side,
                               sum_side, verify_identity)
 from superdenom.lattices import LorentzianLattice, LorentzianPoint
-from superdenom.mult import TwistClass
+from superdenom.mult import NonIntegralMultiplicity, TwistClass
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +63,6 @@ class TestFactorCoefficients:
         assert factor_coefficients(2, 2, 3) == (-4, 8, -12)
 
     def test_against_series_oracle(self):
-        from fractions import Fraction
         from superdenom.series import QSeries
         for me, mo in ((3, 5), (10, 2), (1, 1), (0, 7)):
             one = QSeries.one(trunc=Fraction(7))
@@ -572,6 +573,13 @@ class TestVerifyIdentity:
         with pytest.raises(ValueError):
             dn.verify_identity(3, 3, tc=tc3)
 
+    def test_non_integral_tail_rejected(self, tc3, monkeypatch):
+        """The sum side reads the tail series through the same integrality
+        check as the multiplicity series."""
+        monkeypatch.setattr(tc3, "tail", tc3.tail.scaled(Fraction(1, 8)))
+        with pytest.raises(NonIntegralMultiplicity, match="tail coefficient"):
+            dn.verify_identity(3, 3, tc=tc3)
+
 
 class TestPackedPipeline:
     """The verifier's one-enumeration path against the factor list and the
@@ -581,13 +589,13 @@ class TestPackedPipeline:
     def _reference_sum_side(tc, max_height):
         """The sum side from primitive_isotropic_enum, one membership test
         and one LorentzianPoint multiple per term."""
-        tail = [tc.tail_coeff(k) for k in range(1, max_height + 1)]
+        tail = [tc.tail_at(k) for k in range(1, max_height + 1)]
         out = LatticeSeries.one(max_height, tc.fixed.rank)
         for lam, kmax in tc.lorentzian.primitive_isotropic_enum(max_height):
             assert tc.lorentzian.in_lattice(lam)
             for k in range(1, kmax + 1):
                 p = lam.multiply(k)
-                out.add_term((p.rcoords, p.m, p.n), tail[k - 1].numerator)
+                out.add_term((p.rcoords, p.m, p.n), tail[k - 1])
         return out
 
     @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 12)])

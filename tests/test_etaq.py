@@ -8,10 +8,9 @@ import series_oracle as oracle
 from series_oracle import euler_product
 from superdenom import etaq
 from superdenom.etaq import (SHAPE_1171, SHAPE_1232, SHAPE_1_8, CycleShape,
-                             EtaQuotient, InvalidClass,
-                             check_raw_product_identity, cycle_product,
+                             EtaQuotient, InvalidClass, cycle_product,
                              dim_gf, eta_expand, named_series, tail_series,
-                             theta_coset_formula, trace_gf_even, trace_gf_odd,
+                             theta_coset_formula, trace_gfs,
                              verify_susy_identity)
 from superdenom.series import QSeries
 
@@ -96,9 +95,7 @@ class TestCycleShape:
     def test_weight_and_traces(self):
         assert SHAPE_1232.weight == 8
         assert SHAPE_1232.trace == 2
-        assert SHAPE_1232.trace_of_power(3) == 8
         assert SHAPE_1171.trace == 1
-        assert SHAPE_1171.trace_of_power(7) == 8
         assert SHAPE_1_8.trace == 8
 
     def test_labels(self):
@@ -176,18 +173,21 @@ class TestSusyIdentities:
         ok, checks = verify_susy_identity(order, prec=40)
         assert ok, checks
 
-    def test_negative_control_fails(self):
-        """A cycle shape not coming from a spin element violates the
-        identity, and the first discrepancy is reported."""
-        bad = CycleShape(((1, 1), (3, 1)))  # weight 4, not a valid shape here
-        even = trace_gf_even(bad, F(10))
-        odd = trace_gf_odd(bad, bad.trace, F(10))
-        assert even.first_difference(odd) is not None
+    def test_negative_control_fails(self, monkeypatch):
+        """A cycle shape not coming from a spin element violates both
+        identities, and each check reports its first discrepancy."""
+        # weight 4, not a valid shape here
+        monkeypatch.setitem(etaq.SHAPES, 3, CycleShape(((1, 1), (3, 1))))
+        ok, checks = verify_susy_identity(3, 10)
+        assert not ok
+        assert checks == [("trace_gf_even_equals_odd", False, F(3, 2)),
+                          ("raw_product_identity", False, F(1))]
 
     def test_checks_share_their_products(self, monkeypatch):
         """verify_susy_identity builds each product and the boson inverse
-        once, and reports what the two public checks report, also where
-        a perturbed product makes both of them fail."""
+        once, and its first check reports where the even and odd trace
+        series part, also where a perturbed product makes both checks
+        fail."""
         real, calls, inverses = etaq.cycle_product, [], []
         real_inverse = QSeries.inverse
 
@@ -208,15 +208,15 @@ class TestSusyIdentities:
         assert sorted(calls) == [(-1, False, 20), (-1, True, 20),
                                  (1, False, 20), (1, True, 20)]
         assert len(inverses) == 1
-        want = [etaq.check_trace_identity(SHAPE_1232, 2, F(20)),
-                check_raw_product_identity(SHAPE_1232, 2, F(20))]
+        even, odd = trace_gfs(SHAPE_1232, SHAPE_1232, 2, 20)
         assert not ok
-        assert [(c_ok, disc) for _, c_ok, disc in checks] == want
-        assert all(disc is not None for _, disc in want)
+        assert checks[0][1:] == (False, even.first_difference(odd))
+        assert all(not c_ok and disc is not None
+                   for _, c_ok, disc in checks)
 
     def test_untwisted_is_jacobi(self):
         # even trace gf for 1^8 equals q^{1/2} * fake_c
-        even = trace_gf_even(SHAPE_1_8, F(10))
+        even, _ = trace_gfs(SHAPE_1_8, SHAPE_1_8, 8, F(10))
         target = named_series("fake_c", F(10)) * QSeries.monomial(F(1, 2))
         assert even.first_difference(target) is None
 
@@ -235,9 +235,7 @@ class TestExactDivisions:
             return p
 
         monkeypatch.setattr(etaq, "cycle_product", bumped)
-        for check in (lambda: trace_gf_even(SHAPE_1232, F(10)),
-                      lambda: check_raw_product_identity(SHAPE_1232, 2,
-                                                         F(10)),
+        for check in (lambda: trace_gfs(SHAPE_1232, SHAPE_1232, 2, F(10)),
                       lambda: verify_susy_identity(3, prec=10)):
             with pytest.raises(ArithmeticError, match="not divisible by 2"):
                 check()

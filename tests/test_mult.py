@@ -10,7 +10,7 @@ import pytest
 from superdenom import mult
 from superdenom.arith import divisors, mobius
 from superdenom.denom import verify_identity
-from superdenom.etaq import trace_gf_even, trace_gf_odd
+from superdenom.etaq import trace_gfs
 from superdenom.lattices import LorentzianPoint, enumerate_coset
 from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity,
                              TheoremClosedFormMismatch, TwistClass,
@@ -20,6 +20,20 @@ from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity,
 from superdenom.series import QSeries
 
 F = Fraction
+
+
+def _norm(tc, p):
+    """p^2 from the r* row of p: r*^2 - 2mn."""
+    lor = tc.lorentzian
+    return F(lor.rows[p.rcoords].norm_scaled, lor.exponent) - 2 * p.m * p.n
+
+
+def _dual_point(tc, norm):
+    """(r*; 1, 1) for the first vector r* of the fixed dual of that norm."""
+    lor = tc.lorentzian
+    return next(LorentzianPoint(tuple(c), 1, 1)
+                for c in enumerate_coset(lor.dual, None, norm)
+                if F(lor.rows[tuple(c)].norm_scaled, lor.exponent) == norm)
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +80,8 @@ class TestConstruction:
         assert tc._prec == 96 and calls == []
         even, odd = tc.gf_trace_even, tc.gf_trace_odd
         assert len(calls) == 1
-        assert even == trace_gf_even(tc.shape_V, 96)
-        assert odd == trace_gf_odd(tc.shape_L, tc.trace_l, 96)
+        assert (even, odd) == trace_gfs(tc.shape_V, tc.shape_L, tc.trace_l,
+                                        96)
 
     def test_trace_series_built_on_first_read(self, monkeypatch):
         """Only trace_term reads the trace series: building a TwistClass and
@@ -80,11 +94,11 @@ class TestConstruction:
         assert verify_identity(7, 18, tc=tc).passed
         assert tc._prec == 96
         monkeypatch.undo()
-        assert tc.gf_trace_even == trace_gf_even(tc.shape_V, 96)
+        assert tc.gf_trace_even == trace_gfs(tc.shape_V, tc.shape_L,
+                                             tc.trace_l, 96)[0]
         tc._need(96)
         got = tc.gf_trace_even, tc.gf_trace_odd
-        ref = (trace_gf_even(tc.shape_V, 192),
-               trace_gf_odd(tc.shape_L, tc.trace_l, 192))
+        ref = trace_gfs(tc.shape_V, tc.shape_L, tc.trace_l, 192)
         assert [g.trunc for g in got] == [r.trunc for r in ref]
         assert got == ref
 
@@ -131,22 +145,14 @@ class TestTraceTerm:
         assert trace_term(tc7, 1, a7) == 2  # c7(1)
 
     def test_trace_vanishes_off_lattice(self, tc3):
-        dual = tc3.fixed.dual()
-        beta = next(
-            LorentzianPoint(tuple(c), 1, 1)
-            for c in enumerate_coset(dual, None, F(4, 3))
-            if tc3.lorentzian.rstar_norm(tuple(c)) == F(4, 3))
+        beta = _dual_point(tc3, F(4, 3))
         assert not tc3.lorentzian.in_lattice(beta)
         assert trace_term(tc3, 1, beta) == 0
 
     def test_dimension_term_off_lattice(self, tc3):
         """dim at a dual point of norm -2/3: 3 minimal coset vectors times
         the oscillator count 8 gives 24."""
-        dual = tc3.fixed.dual()
-        beta = next(
-            LorentzianPoint(tuple(c), 1, 1)
-            for c in enumerate_coset(dual, None, F(4, 3))
-            if tc3.lorentzian.rstar_norm(tuple(c)) == F(4, 3))
+        beta = _dual_point(tc3, F(4, 3))
         assert trace_term(tc3, 3, beta) == 24
 
     def test_dimension_term_untwisted(self, tc1):
@@ -161,14 +167,10 @@ class TestMultTheorem1:
 
     def test_three_term_case(self, tc3):
         """alpha in 3L* minus 3L with norm -6: c3(3) + c3(1) = 72 + 8."""
-        dual = tc3.fixed.dual()
-        beta = next(
-            LorentzianPoint(tuple(c), 1, 1)
-            for c in enumerate_coset(dual, None, F(4, 3))
-            if tc3.lorentzian.rstar_norm(tuple(c)) == F(4, 3))
+        beta = _dual_point(tc3, F(4, 3))
         alpha = beta.multiply(3)
-        assert tc3.lorentzian.in_n_dual(alpha, 3)
-        assert not tc3.lorentzian.in_n_lattice(alpha, 3)
+        assert tc3.lorentzian.pairing_divisor(alpha) % 3 == 0
+        assert not tc3.lorentzian.in_lattice(alpha.divide(3))
         assert mult_theorem1(tc3, alpha) == 80
 
     def test_untwisted_simple_root(self, tc1):
@@ -183,18 +185,14 @@ class TestMultTheorem1:
 
 class TestMultClosed:
     def test_off_lattice_is_zero(self, tc3):
-        dual = tc3.fixed.dual()
-        beta = next(
-            LorentzianPoint(tuple(c), 1, 1)
-            for c in enumerate_coset(dual, None, F(4, 3))
-            if tc3.lorentzian.rstar_norm(tuple(c)) == F(4, 3))
+        beta = _dual_point(tc3, F(4, 3))
         assert mult_closed(tc3, beta) == (0, 0)
 
     def test_on_lattice_values(self, tc3, tc7):
         a = LorentzianPoint(_zero(tc3), 1, 2)  # norm -4
         assert mult_closed(tc3, a) == (24, 24)
         b = LorentzianPoint(_zero(tc7), 1, 7)  # norm -14, in 7L*? no
-        assert not tc7.lorentzian.in_n_dual(b, 7)
+        assert tc7.lorentzian.pairing_divisor(b) % 7 != 0
         assert mult_closed(tc7, b) == (tc7.c_coeff(7), tc7.c_coeff(7))
 
     def test_n_dual_extra_term_formula(self, tc7):
@@ -206,15 +204,11 @@ class TestMultClosed:
         -2/7 mod 2 (the realized discriminant classes are 0, 2/7, 4/7,
         8/7), so alpha^2 = -14 never occurs on 7L*; the first negative
         norms are 49*(class - 2).  Check alpha^2 = -84."""
-        dual = tc7.fixed.dual()
-        beta = next(
-            LorentzianPoint(tuple(c), 1, 1)
-            for c in enumerate_coset(dual, None, F(2, 7))
-            if tc7.lorentzian.rstar_norm(tuple(c)) == F(2, 7))
-        assert tc7.lorentzian.norm(beta) == F(-12, 7)
+        beta = _dual_point(tc7, F(2, 7))
+        assert _norm(tc7, beta) == F(-12, 7)
         alpha = beta.multiply(7)
-        assert tc7.lorentzian.norm(alpha) == -84
-        assert tc7.lorentzian.in_n_dual(alpha, 7)
+        assert _norm(tc7, alpha) == -84
+        assert tc7.lorentzian.pairing_divisor(alpha) % 7 == 0
         expected = tc7.c_coeff(42) + tc7.c_coeff(6)
         assert tc7.c_coeff(6) == 40
         assert mult_closed(tc7, alpha) == (expected, expected)
@@ -224,7 +218,7 @@ class TestMultClosed:
         """Directly confirm the class obstruction: beta^2 = -2/7 has no
         solutions with height up to 8."""
         found = [p for p in tc7.lorentzian.positive_cone_enum(8)
-                 if tc7.lorentzian.norm(p) == F(-2, 7)]
+                 if _norm(tc7, p) == F(-2, 7)]
         assert found == []
 
     def test_untwisted(self, tc1):
