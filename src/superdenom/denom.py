@@ -35,12 +35,11 @@ writes each quotient at its images.  product_side is the verifier's
 product stage: the fused L, then its exponential.  The sum side reads
 the same buckets at q = 2mn.  All coefficients are exact integers.
 
-The factor list over the cone of L* (_factor_list), its log derivative
-(log_derivative) and the factor-by-factor in-place accumulator
-(accumulated_product) compute the same L and F other ways and are not on
-the verifier's path.  They stay because the tests compare the verifier
-against them, and because the benchmark's tracer (perfbench/tracing.py)
-looks their names up.
+The factor list over the cone of L* (_factor_list) and the factor-by-factor
+in-place accumulator (expand_factor, mul_factor, mul_series) are not on the
+verifier's path.  They stay because the tests' cross-checks in
+tests/denom_oracle.py build the same F from them, and because the
+benchmark's tracer (perfbench/tracing.py) looks their names up.
 """
 
 from __future__ import annotations
@@ -182,7 +181,7 @@ class LatticeSeries:
             out.extend((self.key_of(h, code), b[code]) for code in sorted(b))
         return out
 
-    # -- products (the accumulator of accumulated_product) ----------------
+    # -- products (the in-place accumulator of the tests' cross-check) ----
 
     def mul_factor(self, powers):
         """In-place multiply by 1 + sum_k c_k e^{k*alpha}.
@@ -223,36 +222,7 @@ class LatticeSeries:
 
 
 # ----------------------------------------------------------------------
-# the product as exp of its log derivative
-
-def log_derivative(factors, max_height: int, rank: int) -> LatticeSeries:
-    """L = theta log of the product of (point, m_even, m_odd) factors.
-
-    One pass: factor alpha of height h adds h*(-m_even - (-1)^(k+1) m_odd)
-    at k*alpha for every k <= max_height // h.  k*alpha is the sum of k
-    copies of alpha, so its digits fit wherever alpha's do.
-    """
-    L = LatticeSeries(max_height, rank)
-    buckets = L.buckets
-    for p, me, mo in factors:
-        h = p.height
-        if h < 1:
-            raise ValueError("factor point must have positive height")
-        if me < 0 or mo < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        code = L.pack(p.rcoords, p.m)
-        odd, even = -h * (me + mo), h * (mo - me)
-        for k in range(1, max_height // h + 1):
-            c = odd if k & 1 else even
-            if c:
-                b, key = buckets[k * h], k * code
-                v = b.get(key, 0) + c
-                if v:
-                    b[key] = v
-                else:
-                    del b[key]
-    return L
-
+# the exponential
 
 def _quarter(t: int, bucket: dict, unit: int, bits: int) -> dict:
     """The keys of bucket t of L with m <= t // 2 and packed r* >= 0, and
@@ -441,31 +411,6 @@ def expand_factor(alpha: LorentzianPoint, m_even: int, m_odd: int,
     coeffs = factor_coefficients(m_even, m_odd, kmax)
     return [(_key(alpha.multiply(k + 1)), c)
             for k, c in enumerate(coeffs) if c]
-
-
-def accumulated_product(factors, max_height: int, rank: int,
-                        jobs: int = 1) -> LatticeSeries:
-    """The product of the factors, by series products instead of exp/log.
-
-    The height-sorted factors are dealt round-robin into jobs chunks, each
-    multiplied factor by factor into its own accumulator (mul_factor), and
-    the partial products are merged by truncated multiplication
-    (mul_series).  The verifier does not run this; the tests compare it
-    with the exponential of log_derivative.
-    """
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    factors = sorted(factors,
-                     key=lambda t: (t[0].height, t[0].m, t[0].rcoords, t[2]))
-    result = None
-    for i in range(jobs):
-        acc = LatticeSeries.one(max_height, rank)
-        for p, me, mo in factors[i::jobs]:
-            powers = expand_factor(p, me, mo, max_height)
-            if powers:
-                acc.mul_factor(powers)
-        result = acc if result is None else result.mul_series(acc)
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -117,10 +117,6 @@ class IntegralLattice:
             raise ValueError("vector is not in the span of the lattice")
         return c
 
-    def coords_of(self, v):
-        """Basis coordinates of an ambient vector in the span (exact)."""
-        return fractions(self._coords([v]))[0]
-
     def norm_of_coords(self, coords):
         g = self.scaled_gram
         n = 0
@@ -599,6 +595,15 @@ class LorentzianLattice:
 
     # -- enumeration -----------------------------------------------------
 
+    def cone_duals(self, max_height: int):
+        """The r* of every cone point of height <= H as sorted (D r*^2,
+        coords).  The points of (m, n) are (r*; m, n) over the prefix with
+        D r*^2 <= 2Dmn."""
+        max_mn = (max_height // 2) * ((max_height + 1) // 2)
+        points, T = _enumerate_scaled(self.dual, None, 2 * max_mn)
+        D = self.exponent  # q = T r*^2
+        return sorted((q * D // T, coords) for coords, q in points)
+
     def positive_cone_enum(self, max_height: int):
         """All nonzero points (r*; m, n), m,n >= 0, m+n <= H, r*^2 <= 2mn.
 
@@ -606,16 +611,14 @@ class LorentzianLattice:
         """
         if max_height < 1:
             return []
-        max_mn = (max_height // 2) * ((max_height + 1) // 2)
-        points, T = _enumerate_scaled(self.dual, None, 2 * max_mn)
-        vecs = sorted((q, coords) for coords, q in points)
+        vecs = self.cone_duals(max_height)
         out = []
         for h in range(1, max_height + 1):
             for m in range(h + 1):
                 n = h - m
-                cap = 2 * m * n * T
-                for q, coords in vecs:
-                    if q > cap:
+                cap = 2 * m * n * self.exponent
+                for ns, coords in vecs:
+                    if ns > cap:
                         break
                     out.append(LorentzianPoint(coords, m, n))
         return out

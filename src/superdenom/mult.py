@@ -7,7 +7,10 @@ The central object is the Moebius-convolution formula
 evaluated in integers as c * mult(alpha), c = ((alpha,L), N), together with
 the closed forms (c(-alpha^2/2) on L, plus c(-alpha^2/2N) on N*L*) that it
 must reproduce.  Exponents are integer numerators over 2D, read from the
-lattice's per-r* rows, so no Fraction is built per point.
+lattice's per-r* rows, so no Fraction is built per point.  Both formulas
+read a point only through its signature (alpha^2, the coset of r*, c and
+the cosets of r*/k for k | c), so the multiplicity table evaluates and
+compares them once per signature and writes one row per point.
 Only odd twist orders are supported; the convolution inverse used in the
 derivation is wrong for even orders.
 """
@@ -15,6 +18,7 @@ derivation is wrong for even orders.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -284,42 +288,81 @@ MULT_COLUMNS = ("coset", "m", "n", "norm", "pairing_divisor",
                 "mult_even", "mult_odd", "source")
 
 
+def _checked(tc: TwistClass, p: LorentzianPoint):
+    """(even, odd) at the cone point p by the convolution formula, checked
+    against the closed form, the sign, parity and vanishing off L."""
+    even = mult_theorem1(tc, p, "even")
+    odd = mult_theorem1(tc, p, "odd")
+    closed = mult_closed(tc, p)
+    if (even, odd) != closed:
+        raise TheoremClosedFormMismatch(
+            f"at {p}: convolution {(even, odd)} vs closed {closed}")
+    if even < 0 or odd < 0:
+        raise NonIntegralMultiplicity(f"negative multiplicity at {p}")
+    if even != odd:
+        raise TheoremClosedFormMismatch(
+            f"parity asymmetry at {p}: {even} != {odd}")
+    if not tc.lorentzian.in_lattice(p) and even != 0:
+        raise TheoremClosedFormMismatch(f"support off L at {p}")
+    return even, odd
+
+
 def build_mult_table(tc: TwistClass, max_height: int,
                      max_norm=None) -> Table:
-    """Evaluate both multiplicity formulas on the cone slice and compare.
+    """Evaluate both multiplicity formulas on the cone slice and compare:
+    the formulas once per signature, the rows once per point.
 
-    Any disagreement, non-integrality, parity asymmetry or support off L is
-    an error, not a report entry.
+    Both formulas read a point (r*; m, n) only through its signature: x =
+    D * -alpha^2, the coset of r*, c = gcd((alpha, L), N) and, for c > 1,
+    the coset of r*/k for each k > 1 dividing c.  They run at a signature's
+    first point in row order (height, m, r*^2, coords), so a disagreement,
+    non-integrality, negativity, parity asymmetry or support off L is an
+    error raised at the point where a point-wise walk raises it.
     """
     lor = tc.lorentzian
-    D = lor.exponent
-    points = []  # (point, D * -alpha^2) in the slice
-    for p in lor.positive_cone_enum(max_height):
-        x = 2 * D * p.m * p.n - lor.rows[p.rcoords].norm_scaled
-        if max_norm is None or x <= max_norm * D:
-            points.append((p, x))
-    if points:
+    D, N = lor.exponent, tc.order
+    vecs = lor.cone_duals(max(max_height, 0))
+    texts: dict[tuple, str] = {}  # r* mod D -> coset label text
+
+    def label_text(r) -> str:
+        key = tuple([v % D for v in r])  # D L* lies in L
+        if key not in texts:
+            texts[key] = "+".join(map(str, lor.rows[r].label))
+        return texts[key]
+
+    # (D r*^2, label text, gcd(r*), r*) in cone order
+    duals = [(ns, label_text(r), gcd(*r), r) for ns, r in vecs]
+    norms = [ns for ns, _ in vecs]
+    slices = []  # (2Dmn, m, n, lo, hi): the points (r*; m, n), duals[lo:hi]
+    for h in range(1, max_height + 1):
+        for m in range(h + 1):
+            cap = 2 * D * m * (h - m)  # D r*^2 <= 2Dmn, x <= D max_norm
+            lo = 0 if max_norm is None else \
+                bisect_left(norms, cap - max_norm * D)
+            hi = bisect_right(norms, cap)
+            if lo < hi:
+                slices.append((cap, m, h - m, lo, hi))
+    if slices:
         # grow the series once: the largest exponent read is (1 - alpha^2)/2
         # on the trace series, or -alpha^2/2 on c at order 1
-        top = max(x for _, x in points) + (D if tc.order > 1 else 0)
-        tc._need(top // (2 * D))
+        top = max(cap - norms[lo] for cap, _, _, lo, _ in slices)
+        tc._need((top + (D if N > 1 else 0)) // (2 * D))
+    mults: dict[tuple, tuple] = {}  # signature -> (even, odd)
+    fracs: dict[int, Fraction] = {}  # x -> -alpha^2
     rows = []
-    for p, x in points:
-        even = mult_theorem1(tc, p, "even")
-        odd = mult_theorem1(tc, p, "odd")
-        closed = mult_closed(tc, p)
-        if (even, odd) != closed:
-            raise TheoremClosedFormMismatch(
-                f"at {p}: convolution {(even, odd)} vs closed {closed}")
-        if even < 0 or odd < 0:
-            raise NonIntegralMultiplicity(f"negative multiplicity at {p}")
-        if even != odd:
-            raise TheoremClosedFormMismatch(
-                f"parity asymmetry at {p}: {even} != {odd}")
-        if not lor.in_lattice(p) and even != 0:
-            raise TheoremClosedFormMismatch(f"support off L at {p}")
-        row = lor.rows[p.rcoords]
-        rows.append(("+".join(map(str, row.label)), p.m, p.n,
-                     Fraction(-x, D), gcd(p.m, p.n, row.gcd), even, odd,
-                     "theorem1=closed"))
+    for cap, m, n, lo, hi in slices:
+        gmn = gcd(m, n)
+        for ns, text, g, r in duals[lo:hi]:
+            x, pd = cap - ns, gcd(gmn, g)
+            c = gcd(pd, N)
+            sig = (x, text, c)
+            if c > 1:
+                sig += tuple(label_text(tuple([v // k for v in r]))
+                             for k in divisors(c)[1:])
+            got = mults.get(sig)
+            if got is None:
+                got = mults[sig] = _checked(tc, LorentzianPoint(r, m, n))
+            if x not in fracs:
+                fracs[x] = Fraction(-x, D)
+            rows.append((text, m, n, fracs[x], pd, *got, "theorem1=closed"))
     return Table(MULT_COLUMNS, rows, {"order": tc.order})

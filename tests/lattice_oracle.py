@@ -15,8 +15,8 @@ from operator import add
 
 from superdenom.arith import divisors, mobius
 from superdenom.etaq import CycleShape
-from superdenom.intlinalg import (hnf, left_kernel_basis, mat_mul, mat_vec,
-                                  snf_invariants)
+from superdenom.intlinalg import (fractions, hnf, left_kernel_basis,
+                                  mat_mul, mat_vec, snf_invariants)
 from superdenom.lattices import (DiscriminantGroup, SearchExhausted,
                                  SingularGram)
 from superdenom.octonion import (NotProductOfCyclotomicBlocks,
@@ -25,6 +25,15 @@ from superdenom.octonion import (NotProductOfCyclotomicBlocks,
                                  mat_identity8, mat_mul8, mat_trace8,
                                  right_mult_matrix)
 from superdenom.series import QSeries
+
+
+def coords_of(lattice, v):
+    """Basis coordinates of an ambient vector in the span (exact), of an
+    oracle lattice or of a package lattice, read from the package's integer
+    _coords; ValueError off the span."""
+    if isinstance(lattice, IntegralLattice):
+        return lattice.coords_of(v)
+    return fractions(lattice._coords([v]))[0]
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +340,7 @@ def matrix_action_on(lattice: IntegralLattice, m):
     for b in lattice.basis:
         mb = tuple(sum(m[i][j] * b[j] for j in range(len(b)))
                    for i in range(len(m)))
-        cols.append(lattice.coords_of(mb))
+        cols.append(coords_of(lattice, mb))
     return [[cols[k][j] for k in range(lattice.rank)]
             for j in range(lattice.rank)]
 

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 import denom_oracle as oracle
 import superdenom.denom as dn
+from denom_oracle import accumulated_product, log_derivative
 from superdenom import lattices
-from superdenom.denom import (LatticeSeries, accumulated_product,
-                              expand_factor, exponential,
+from superdenom.denom import (LatticeSeries, expand_factor, exponential,
                               factor_coefficients, lattice_log_derivative,
-                              lattice_vectors, log_derivative, product_side,
-                              sum_side, verify_identity)
+                              lattice_vectors, product_side, sum_side,
+                              verify_identity)
 from superdenom.lattices import LorentzianLattice, LorentzianPoint
 from superdenom.mult import NonIntegralMultiplicity, TwistClass
 

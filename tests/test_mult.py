@@ -6,7 +6,10 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mult_oracle
 from superdenom import mult
 from superdenom.arith import divisors, mobius
 from superdenom.denom import verify_identity
@@ -259,6 +262,62 @@ class TestMultTable:
         assert len(parsed["rows"]) == len(table)
         csv_text = table.to_csv()
         assert csv_text.splitlines()[0] == ",".join(MULT_COLUMNS)
+
+
+# ----------------------------------------------------------------------
+# the table by signature against the point-wise walk it replaced
+
+ORACLE_SIZES = [(1, h) for h in range(1, 4)] + \
+    [(3, h) for h in range(1, 7)] + [(7, h) for h in range(1, 9)]
+
+
+class TestTableBySignature:
+    """build_mult_table evaluates the formulas once per signature; the
+    point-wise walk of tests/mult_oracle.py evaluates them at every point.
+    Both must write the same table in every output form."""
+
+    @pytest.fixture(scope="class")
+    def twists(self, tc1, tc3, tc7):
+        return {1: tc1, 3: tc3, 7: tc7}
+
+    @staticmethod
+    def _same(tc, height, max_norm):
+        got = build_mult_table(tc, height, max_norm)
+        want = mult_oracle.build_mult_table(tc, height, max_norm)
+        for form in ("to_json", "to_csv", "to_text"):
+            assert getattr(got, form)() == getattr(want, form)(), form
+
+    @pytest.mark.parametrize("max_norm", [None, 0, 2, 5])
+    @pytest.mark.parametrize("order,height", ORACLE_SIZES)
+    def test_same_bytes_as_the_oracle(self, twists, order, height,
+                                      max_norm):
+        self._same(twists[order], height, max_norm)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_same_bytes_as_the_oracle_drawn(self, twists, data):
+        """Heights up to 5; order 1 stops at 3, where its cone holds 5,049
+        points (49,934 at height 4) and the oracle's walk stays short."""
+        order = data.draw(st.sampled_from((1, 3, 7)))
+        height = data.draw(st.integers(0, 5 if order > 1 else 3))
+        max_norm = data.draw(st.none() | st.integers(0, 30))
+        self._same(twists[order], height, max_norm)
+
+    def test_formulas_run_once_per_signature(self, monkeypatch):
+        """91 signatures among 24,435 points at order 3, height 6: two
+        mult_theorem1 calls (even and odd) per signature."""
+        calls = []
+        inner = mult.mult_theorem1
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(mult, "mult_theorem1", counted)
+        table = build_mult_table(TwistClass(3), 6)
+        assert len(table) == 24435
+        assert len(calls) == 182
+        assert len(set(calls)) == 91
 
 
 # ----------------------------------------------------------------------
