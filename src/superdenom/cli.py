@@ -1,7 +1,9 @@
 """Command-line interface: verifications, tables and series dumps.
 
 Exit codes: 0 = all checks pass, 1 = a mathematical discrepancy was found,
-2 = usage or resource error.  Reports are canonical JSON with every number
+2 = usage or resource error: a --config file that cannot be read (an
+argparse error, as a bad flag is) or an --out path that cannot be written
+(an OSError, caught in main).  Reports are canonical JSON with every number
 rendered as an exact decimal string, so they are byte-stable across runs
 and --jobs values, except for the wall-time field and the jobs value echoed
 in params.

@@ -74,59 +74,22 @@ def left_kernel_basis(a: list[list[int]]) -> list[list[int]]:
 
 
 def snf_invariants(a: list[list[int]]) -> list[int]:
-    """Diagonal entries of the Smith normal form (nonnegative, d_i | d_{i+1})."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    h = [list(map(int, row)) for row in a]
+    """Diagonal entries of the Smith normal form (nonnegative, d_i | d_{i+1}).
 
-    def _min_entry(t):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if h[i][j] != 0 and (best is None or abs(h[i][j]) < abs(h[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    t = 0
-    while t < min(m, n):
-        pos = _min_entry(t)
-        if pos is None:
-            break
-        i0, j0 = pos
-        h[t], h[i0] = h[i0], h[t]
-        for row in h:
-            row[t], row[j0] = row[j0], row[t]
-        dirty = False
-        for i in range(t + 1, m):
-            if h[i][t]:
-                q = h[i][t] // h[t][t]
-                for k in range(t, n):
-                    h[i][k] -= q * h[t][k]
-                if h[i][t]:
-                    dirty = True
-        for j in range(t + 1, n):
-            if h[t][j]:
-                q = h[t][j] // h[t][t]
-                for i2 in range(t, m):
-                    h[i2][j] -= q * h[i2][t]
-                if h[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide the rest of the block
-        ok = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if h[i][j] % h[t][t] != 0:
-                    for k in range(t, n):
-                        h[t][k] += h[i][k]
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            t += 1
-    d = [abs(h[i][i]) for i in range(min(m, n))]
+    Row Hermite forms of the matrix and of its transpose alternate until it
+    is diagonal.  The top-left entry is the gcd of its column, so it never
+    grows; once it stops shrinking it divides its row, and the next reduced
+    form clears that row and column; the rest follows by induction.  gcd/lcm
+    steps then order the diagonal by divisibility.
+    """
+    h = a
+    while any(x for i, row in enumerate(h) for j, x in enumerate(row)
+              if i != j):
+        h = list(zip(*hnf_with_transform(h)[0]))
+    d = [abs(row[i]) for i, row in enumerate(h) if i < len(row)]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
     return d
 
 

@@ -184,7 +184,7 @@ class IntegralLattice:
 
 @dataclass
 class DiscriminantGroup:
-    """The quotient L*/L with invariant factors and coset representatives."""
+    """The quotient L*/L: invariant factors, order and coset labels."""
 
     lattice: IntegralLattice
     invariants: tuple[int, ...]

@@ -206,8 +206,6 @@ def mult_theorem1(tc: TwistClass, alpha: LorentzianPoint,
     divisible by c.
     """
     c = gcd(tc.lorentzian.pairing_divisor(alpha), tc.order)
-    if c == 1:  # the one term d = s = 1
-        return trace_term(tc, 1, alpha, parity)
     total = 0
     for d in divisors(c):
         for s in divisors(c // d):

@@ -2,21 +2,23 @@
 rewrite, kept as the tests' oracle: IntegralLattice with Fraction basis,
 Gram and Gauss-Jordan inverse, the Fraction Fincke-Pohst completion and
 enumeration, E8, the fixed sublattice, its complement and the coset shift
-table, and the Fraction spin matrices, power traces and cycle shapes.
-Nothing in the package uses this module; tests compare the integer set-up
-with it.
+table, and the Fraction spin matrices, power traces and cycle shapes
+(validated by a Fraction characteristic polynomial); also Smith invariants
+from determinantal divisors.  Nothing in the package uses this module;
+tests compare the integer set-up with it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, isqrt
 from operator import add
 
 from superdenom.arith import divisors, mobius
 from superdenom.etaq import CycleShape
 from superdenom.intlinalg import (fractions, hnf, left_kernel_basis,
-                                  mat_mul, mat_vec, snf_invariants)
+                                  mat_mul, mat_vec)
 from superdenom.lattices import (DiscriminantGroup, SearchExhausted,
                                  SingularGram)
 from superdenom.octonion import (NotProductOfCyclotomicBlocks,
@@ -78,6 +80,30 @@ def det(a):
                 f = work[r][col] * inv
                 work[r] = [x - f * y for x, y in zip(work[r], work[col])]
     return d
+
+
+def snf_invariants(a):
+    """Smith invariants from determinantal divisors: d_1...d_k is D_k, the
+    gcd of the k x k minors (each a Fraction det).  D_(k-1) divides D_k, so
+    the scan of size k stops once the running gcd equals D_(k-1); once every
+    k x k minor is 0, the remaining invariants are 0."""
+    m = len(a)
+    n = len(a[0]) if m else 0
+    out, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rows in combinations(range(m), k):
+            for cols in combinations(range(n), k):
+                g = gcd(g, int(det([[a[i][j] for j in cols] for i in rows])))
+                if g == prev:
+                    break
+            if g == prev:
+                break
+        if g == 0:
+            return out + [0] * (min(m, n) - k + 1)
+        out.append(g // prev)
+        prev = g
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,13 @@ class TestConfigAndOut:
         report = json.loads(target.read_text())
         assert report["status"] == "pass"
 
+    def test_unwritable_out_is_resource_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, "verify", "spin", "--order", "3",
+                             "--out", str(target))
+        assert code == 2 and out == "" and "error:" in err
+        assert not target.parent.exists()
+
 
 # stdout of each call, byte for byte; recorded before argparse took over
 # the config defaults and one Table came to render both multiplicity tables

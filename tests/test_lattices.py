@@ -484,7 +484,30 @@ def _ref_shift_table(fixed, container, disc):
     raise AssertionError("reference did not reach every coset")
 
 
+_INT_MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda mn: st.lists(st.lists(st.integers(-30, 30), min_size=mn[1],
+                                 max_size=mn[1]),
+                        min_size=mn[0], max_size=mn[0]))
+
+
 class TestSetupOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_INT_MATRICES, st.integers(1, 6), st.booleans())
+    def test_snf_matches_determinantal_divisors(self, a, scale, singular):
+        # non-square, scaled and (with a repeated row) singular matrices
+        a = [[scale * x for x in row] for row in a]
+        if singular and len(a) > 1:
+            a[-1] = list(a[0])
+        assert snf_invariants(a) == oracle.snf_invariants(a)
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_snf_of_the_set_up_grams(self, twists, order):
+        tc = twists[order]
+        for lat in (tc.e8, tc.fixed, tc.complement):
+            g = lat.gram_int()
+            assert snf_invariants(g) == oracle.snf_invariants(g)
+        assert tc.disc.invariants == {1: (), 3: (3, 3), 7: (7,)}[order]
+
     @pytest.mark.parametrize("order", [1, 3, 7])
     def test_shift_table(self, twists, order):
         tc = twists[order]

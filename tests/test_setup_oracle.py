@@ -10,10 +10,9 @@ import pytest
 import lattice_oracle as oracle
 from superdenom import intlinalg, lattices, octonion
 from superdenom.etaq import c_series, dim_gf, tail_series, trace_gfs
-from superdenom.intlinalg import Scaled, fractions, snf_invariants
-from superdenom.lattices import (DiscriminantGroup, IntegralLattice,
-                                 SingularGram, e8_lattice, fixed_sublattice,
-                                 matrix_action_on)
+from superdenom.intlinalg import Scaled, fractions
+from superdenom.lattices import (IntegralLattice, SingularGram, e8_lattice,
+                                 fixed_sublattice, matrix_action_on)
 from superdenom.mult import TwistClass
 from superdenom.octonion import (NotProductOfCyclotomicBlocks,
                                  OrderExceedsCap, _power_traces,
@@ -31,8 +30,7 @@ def _oracle_setup(order):
     rv, rl, rr = (oracle.spin_matrix(u, kind) for kind in "VLR")
     e8 = oracle.e8_lattice()
     fixed = oracle.fixed_sublattice(rv, e8)
-    invs = tuple(d for d in snf_invariants(fixed.gram_int()) if d != 1)
-    disc = DiscriminantGroup(fixed, invs)
+    disc = fixed.discriminant_group()
     return SimpleNamespace(
         rho_v=rv, rho_l=rl, rho_r=rr, e8=e8, fixed=fixed,
         complement=oracle.orthogonal_complement(fixed, e8), disc=disc,
@@ -169,12 +167,13 @@ class TestNegativeControls:
 
     @pytest.mark.parametrize("traces,match", [
         # tr(m^3) != tr(m), as no rational matrix of order 4 has: the trace
-        # inversion gives b_4 = 2 and only the characteristic polynomial,
-        # with e_3 = 4/3, tells
-        ([0, 0, 4, 8], "not integral"),
+        # inversion gives shape 4^2, whose third power sum is 0, not 4
+        ([0, 0, 4, 8], "not a product"),
         # shape 2^1 6^1 from the inversion, but tr(m^5) = 5, not tr(m) = 0:
         # an integral polynomial other than (x^2 - 1)(x^6 - 1)
-        ([0, 2, 0, 2, 5, 8], "not a product")])
+        ([0, 2, 0, 2, 5, 8], "not a product"),
+        # the identity on 7 coordinates: shape 1^7 has weight 7, not 8
+        ([7], "not a product")])
     def test_characteristic_polynomial_check(self, monkeypatch, traces,
                                              match):
         monkeypatch.setattr(octonion, "_power_traces", lambda m, cap: traces)
