@@ -11,8 +11,8 @@ substitution), so adding two points is adding two ints, and n = h - m comes
 from the bucket.
 
 The verifier enumerates the fixed lattice once, up to norm 2 max(mn), bucketed
-by norm (lattice_vectors).  The key of r is pack(G c), which by linearity
-is sum_i c_i P_i, P_i the packed i-th column of G.  A root's multiplicity
+by norm (lattice_vectors).  The key of r is pack(G c), summed by linearity
+from the digits of G c times their place values.  A root's multiplicity
 depends only on its norm class r^2 = q, on (m, n) and on whether it lies in
 N L*, so it is read once per class from mult.class_multiplicity, the closed
 form that mult_closed reads too and that verify mult checks against the
@@ -47,7 +47,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, gcd
+from operator import itemgetter, mul
 
 from .mult import TwistClass, class_multiplicity, mult_closed
 from .lattices import LorentzianPoint, vectors_by_norm
@@ -471,14 +473,19 @@ def lattice_vectors(tc: TwistClass, series: LatticeSeries):
     m + n <= H, bucketed by norm: {q: [(key, gcd(G c), gcd(c)), ...]}.
 
     key is the packed r* = G c of the vector, so the key of (r; m, n) is
-    key + m * pack(0, 1).  Every digit of G c passes through series.pack,
-    which raises OverflowError past the series' coordinate bound.
+    key + m * pack(0, 1), summed by linearity from the digits of G c after
+    one scan raises pack's OverflowError if any digit is past its bound.
     """
     H = series.max_height
     max_mn = (H // 2) * ((H + 1) // 2)
-    pack = series.pack
-    return {q: [(pack(gc, 0), gcd(*gc), g) for gc, g in vecs]
-            for q, vecs in vectors_by_norm(tc.fixed, 2 * max_mn).items()}
+    by_norm = vectors_by_norm(tc.fixed, 2 * max_mn)
+    digits = chain.from_iterable(map(itemgetter(0),
+                                     chain.from_iterable(by_norm.values())))
+    if max(map(abs, digits), default=0) > series.limit:
+        raise OverflowError(f"coordinate beyond +-{series.limit}")
+    places = [1 << (_DIGIT_BITS * i) for i in reversed(range(series.rank))]
+    return {q: [(sum(map(mul, gc, places)), gcd(*gc), g) for gc, g in vecs]
+            for q, vecs in by_norm.items()}
 
 
 def lattice_log_derivative(tc: TwistClass, vectors, max_height: int):

@@ -47,8 +47,10 @@ class UnsupportedTwistOrder(ValueError):
 class TwistClass:
     """Everything derived from one twisting element: lattices, shapes, series.
 
-    Immutable after construction; generating-function caches grow on demand
-    but never change existing coefficients.
+    The constructor builds what the denominator identity reads: rho_V, E8,
+    the fixed lattice and the c and tail series.  The other parts are built
+    once, on first read (so a spinor-trace ValueError comes from reading
+    rho_l, trace_l or shape_L); series caches grow but keep coefficients.
     """
 
     SHIPPED_ORDERS = (1, 3, 7)
@@ -64,29 +66,35 @@ class TwistClass:
             raise UnsupportedTwistOrder(f"no shipped twist of order {order}")
         self.order = order
         self.u = build_twist_element(order)
-        self.rho_v, self.rho_l, rho_r = (spin_action(self.u, kind)
-                                         for kind in "VLR")
-        trace_l = mat_trace8(self.rho_l.rows)
-        if trace_l * rho_r.den != mat_trace8(rho_r.rows) * self.rho_l.den:
-            raise ValueError("spinor traces differ; trace hypothesis violated")
-        self.trace_l = trace_l // self.rho_l.den
-        self.shape_V = cycle_shape(self.rho_v)
-        self.shape_L = cycle_shape(self.rho_l)
+        self.rho_v = spin_action(self.u, "V")
         self.e8 = e8_lattice()
         self.fixed = fixed_sublattice(self.rho_v, self.e8)
-        self.complement = orthogonal_complement(self.fixed, self.e8)
-        self.lorentzian = LorentzianLattice(self.fixed)
-        self.disc = self.lorentzian.disc
-        self.shift_table = build_coset_shift_table(self.fixed, self.e8,
-                                                   self.disc)
         self._prec = self.INITIAL_PREC
         # dimension series are only ever read at the small exponents of
         # alpha/N, so they get their own precision and need coset thetas of
-        # the complement only that far; only verify mult reads them, so
-        # gf_dim_by_coset builds them on first read
+        # the complement only that far
         self._dim_prec = 4
         self._gf_dim = None
         self._build_series_caches()
+
+    @cached_property
+    def rho_l(self):
+        rho_l, rho_r = (spin_action(self.u, kind) for kind in "LR")
+        if mat_trace8(rho_l.rows) * rho_r.den != \
+                mat_trace8(rho_r.rows) * rho_l.den:
+            raise ValueError("spinor traces differ; trace hypothesis violated")
+        return rho_l
+
+    trace_l = cached_property(
+        lambda self: mat_trace8(self.rho_l.rows) // self.rho_l.den)
+    shape_V = cached_property(lambda self: cycle_shape(self.rho_v))
+    shape_L = cached_property(lambda self: cycle_shape(self.rho_l))
+    complement = cached_property(
+        lambda self: orthogonal_complement(self.fixed, self.e8))
+    lorentzian = cached_property(lambda self: LorentzianLattice(self.fixed))
+    disc = cached_property(lambda self: self.lorentzian.disc)
+    shift_table = cached_property(lambda self: build_coset_shift_table(
+        self.fixed, self.e8, self.disc))
 
     def _build_series_caches(self):
         """(Re)build c and tail at the current precision, and drop the trace

@@ -1,6 +1,7 @@
 """Denominator-identity expander: factors, product, sum, reports."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -616,6 +617,17 @@ class TestPackedPipeline:
             (order > 1)
         assert sum_side(tc, height, vectors).buckets == \
             self._reference_sum_side(tc, height).buckets
+
+    @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 12)])
+    def test_keys_match_pack(self, order, height, tc1, tc3, tc7):
+        """lattice_vectors packs G c by linearity; pack is the oracle."""
+        tc = {1: tc1, 3: tc3, 7: tc7}[order]
+        s = LatticeSeries(height, tc.fixed.rank)
+        max_mn = (height // 2) * ((height + 1) // 2)
+        ref = {q: [(s.pack(gc, 0), gcd(*gc), g) for gc, g in vecs]
+               for q, vecs in lattices.vectors_by_norm(
+                   tc.fixed, 2 * max_mn).items()}
+        assert lattice_vectors(tc, s) == ref
 
     def test_pack_bound_on_largest_digit(self, tc7):
         """Every enumerated vector's G c passes through pack: a coordinate

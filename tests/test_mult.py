@@ -14,12 +14,14 @@ from superdenom import mult
 from superdenom.arith import divisors, mobius
 from superdenom.denom import verify_identity
 from superdenom.etaq import trace_gfs
+from superdenom.intlinalg import Scaled
 from superdenom.lattices import LorentzianPoint, enumerate_coset
 from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity,
                              TheoremClosedFormMismatch, TwistClass,
                              UnsupportedTwistOrder, build_mult_table,
                              mult_closed, mult_theorem1, simple_root_mult,
                              trace_term)
+from superdenom.octonion import mat_identity8
 from superdenom.series import QSeries
 
 F = Fraction
@@ -134,6 +136,38 @@ class TestConstruction:
         assert ref.gf_dim_by_coset is not None
         ref._need_dim(9)
         assert ref._dim_prec == 16 and built == ref.gf_dim_by_coset
+
+    LAZY = ("rho_l", "trace_l", "shape_V", "shape_L",
+            "complement", "lorentzian", "disc", "shift_table")
+
+    @pytest.mark.parametrize("order,height", [(1, 2), (3, 6), (7, 12)])
+    def test_denominator_builds_no_lazy_part(self, order, height):
+        """The denominator identity reads only the fixed lattice and the c
+        and tail series, so verifying it builds none of the parts that
+        other checks read; each is built once, on its first read."""
+        tc = TwistClass(order)
+        assert verify_identity(order, height, tc=tc).passed
+        assert not set(self.LAZY) & set(tc.__dict__)
+        for name in self.LAZY:
+            assert getattr(tc, name) is getattr(tc, name)
+        assert set(self.LAZY) <= set(tc.__dict__)
+
+    def test_spinor_check_on_first_read(self, monkeypatch):
+        """Spinor traces that differ break the trace hypothesis, which only
+        the parts read through rho_l need: the denominator identity still
+        verifies, and reading trace_l, rho_l or shape_L raises."""
+        spin_action = mult.spin_action
+
+        def unequal(u, kind):
+            return Scaled(mat_identity8(), 1) if kind == "R" \
+                else spin_action(u, kind)
+        monkeypatch.setattr(mult, "spin_action", unequal)
+        tc = TwistClass(3)
+        assert verify_identity(3, 3, tc=tc).passed
+        for name in ("trace_l", "rho_l", "shape_L"):
+            with pytest.raises(ValueError, match="spinor traces differ"):
+                getattr(tc, name)
+        assert tc.shape_V == TwistClass(3).shape_V
 
     def test_mobius(self):
         assert [mobius(n) for n in (1, 2, 3, 6, 7, 9, 12)] == \
