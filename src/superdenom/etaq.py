@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from operator import add, mul, sub
 
-from .series import QSeries
+from .series import QSeries, _unpack
 
 
 class InvalidClass(ValueError):
@@ -103,34 +104,64 @@ def eta_expand(spec: EtaQuotient, prec) -> QSeries:
     return QSeries(1, dict(enumerate(F)), rel) * QSeries.monomial(lead)
 
 
+def _slot_bytes(B: int, j: int) -> int:
+    """Bytes per slot that hold, with a sign bit, every coefficient up to
+    y^j of a product of factors 1 +- y^e, e >= 1, none of whose exponents
+    occurs more than B times.
+
+    The coefficient of y^i is at most [y^i] F in absolute value, with
+    F = prod_{e>=1} (1 + y^e)^B.  F has nonnegative coefficients, so
+    [y^i] F <= F(x)/x^i <= F(x)/x^j for 0 < x < 1 and i <= j, and
+    log(1 + u) <= u gives log F(x) <= B x/(1 - x).  At x = 1 - 1/(t+1) for
+    an integer t >= 1 that is B t, and -log x = log(1 + 1/t) <= 1/t, so the
+    coefficient is at most exp(B t + j/t) < 2^(1.5 (B t + ceil(j/t))), as
+    log2(e) < 1.5.  t = max(1, isqrt(j // B)) is near the minimising
+    sqrt(j/B); ceil(1.5 (B t + ceil(j/t))) + 1 bits then hold the
+    coefficient and its sign.
+    """
+    t = max(1, isqrt(j // B))
+    y = B * t + -(-j // t)
+    bits = (3 * y + 1) // 2 + 1
+    return -(-bits // 8)
+
+
 def cycle_product(shape: CycleShape, sign: int, half_shift: bool,
                   prec) -> QSeries:
     """prod_{n>=1} prod_a (1 + sign*q^{a*(n-shift)})^{b_a}, shift 0 or 1/2.
 
     By the eigenvalue collapse an a-cycle block contributes
     1 - (-sign*x)^a = 1 + c*x^a with x = q^{n-shift} and the integer
-    c = -(-sign)^a, so the product has integer coefficients.  They are kept
-    in a dense list of Python ints, slot j holding the coefficient of q^{j/D}
-    for every j/D < prec (D = 2 for the half shift, else 1).  The factor
-    1 + c*q^{e/D} with c = +-1 is one whole-list update a[e:] = a[e:] +- a,
-    whose right side is built from the old values before it is stored,
-    applied b_a times; only the finished list becomes a QSeries.
+    c = -(-sign)^a, so the product has integer coefficients.  Slot j of
+    the product, the coefficient of y^j with y = q^{1/D} (D = 2 for the
+    half shift, else 1), is needed for every j < n = ceil(prec*D).  The
+    slots are packed into one int x with w bytes per slot (Kronecker
+    substitution, w from _slot_bytes), and the factor 1 + c*y^e with
+    c = +-1 becomes x +- ((x & low) << 8we), low the mask of the n - e
+    low slots.  This is the product modulo 2^(8wn), exact for the low n
+    slots however x grows above them, so the slots are read back once, at
+    the end, as balanced digits.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     prec = Fraction(prec)
     D = 2 if half_shift else 1
     nslots = max(0, -((-prec.numerator * D) // prec.denominator))
-    coeffs = [0] * nslots
-    if nslots:
-        coeffs[0] = 1
+    if not nslots:
+        return QSeries(D, {}, prec)
+    w = _slot_bytes(sum(b for _, b in shape.cycles), nslots - 1)
+    # each step moves x by less than 2^(8wn); starting S such moves above 1
+    # keeps x positive, where & needs no two's-complement copy
+    steps = sum(b * len(range(a, nslots, D * a)) for a, b in shape.cycles)
+    x = 1 + (steps << 8 * w * nslots)
     for a, b in shape.cycles:
         op = add if -((-sign) ** a) == 1 else sub
         # q^{a(n-shift)} for n >= 1 sits in slots a, a + D*a, a + 2*D*a, ...
         for e in range(a, nslots, D * a):
+            low = (1 << 8 * w * (nslots - e)) - 1
+            shift = 8 * w * e
             for _ in range(b):
-                coeffs[e:] = map(op, coeffs[e:], coeffs)
-    return QSeries(D, dict(enumerate(coeffs)), prec)
+                x = op(x, (x & low) << shift)
+    return QSeries(D, dict(enumerate(_unpack(x, nslots, w))), prec)
 
 
 # ----------------------------------------------------------------------

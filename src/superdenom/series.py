@@ -12,14 +12,22 @@ int slot count ceil(T*D): slot k is known exactly when k < ceil(T*D).
 Fraction appears only at the API edge (trunc, coeff, items, valuation,
 to_pairs, repr) and in the arithmetic of non-integral coefficients.
 
+A product of two long, dense integer series is one big-int product by
+Kronecker substitution (D. Harvey, J. Symb. Comput. 44 (2009)): _pack
+writes each operand's coefficients into fixed-width byte slots of one int,
+wide enough for every coefficient of the product, and _unpack reads the
+product's slots back as balanced digits.  Products with a Fraction
+coefficient, a short operand or a sparse one loop over pairs of terms.
+
 All operations are pure and compute the tightest sound truncation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from math import gcd, lcm
+from operator import add
 
 
 class ZeroLeadingTerm(ArithmeticError):
@@ -85,6 +93,74 @@ def _slots(t, D: int):
     """Number of grid slots k >= 0 below t on the grid 1/D: every int k
     with k/D < t is below ceil(t*D).  None when t is None."""
     return None if t is None else -((-t[0] * D) // t[1])
+
+
+# Kronecker substitution.  A list of ints c_i with |c_i| < 2^(8w-1) is the
+# int sum c_i 2^(8wi): adding h = 2^(8w-1) to every slot makes each one a
+# w-byte unsigned field, so the int is one from_bytes less the sum of the h.
+
+def _offsets(n: int, w: int) -> int:
+    """The int with h = 2^(8w-1) in each of its n slots of w bytes."""
+    return int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n,
+                          "little")
+
+
+def _pack(coeffs: list, w: int) -> int:
+    """The ints coeffs, each of absolute value below 2^(8w-1), as one int
+    with coeffs[i] in slot i of w bytes."""
+    h = 1 << (8 * w - 1)
+    raw = b"".join(map(int.to_bytes, map(add, coeffs, repeat(h)),
+                       repeat(w), repeat("little")))
+    return int.from_bytes(raw, "little") - _offsets(len(coeffs), w)
+
+
+def _unpack(x: int, n: int, w: int) -> list:
+    """The n low slots of w bytes of x as balanced digits: the ints d_i,
+    each of absolute value below 2^(8w-1), with x = sum d_i 2^(8wi) modulo
+    2^(8wn).  A digit outside that range comes back wrong, not as an
+    error, so the caller's width must bound every digit."""
+    h = 1 << (8 * w - 1)
+    size = n * w
+    low = (x + _offsets(n, w)) & ((1 << 8 * size) - 1)
+    view = memoryview(low.to_bytes(size, "little"))
+    return [int.from_bytes(view[i:i + w], "little") - h
+            for i in range(0, size, w)]
+
+
+# A product of terms loops over la*lb pairs; the packed product spends about
+# this many pair-steps per dense slot of its operands (packing, the big-int
+# product and unpacking), so it runs when la*lb exceeds that many times the
+# operands' dense spans.  Square dense operands cross over at 24-32 terms.
+_PACKED_SLOT_COST = 16
+
+
+def _packed_product(ta: dict, tb: dict, top: int):
+    """The terms of ta*tb below slot top as one big-int product, or None
+    where a loop over pairs of terms is the way: a Fraction coefficient, a
+    short operand or a sparse one, whose dense span dwarfs its terms."""
+    pairs = len(ta) * len(tb)
+    # a dense span is at least as long as its terms
+    if pairs < _PACKED_SLOT_COST * (len(ta) + len(tb)):
+        return None
+    lo_a, lo_b = min(ta), min(tb)
+    # a term at or above top - (the other's least key) reaches no kept slot
+    hi_a, hi_b = min(max(ta), top - 1 - lo_b), min(max(tb), top - 1 - lo_a)
+    if hi_a < lo_a or \
+            pairs < _PACKED_SLOT_COST * (hi_a - lo_a + hi_b - lo_b + 2):
+        return None
+    if {*map(type, ta.values()), *map(type, tb.values())} != {int}:
+        return None
+    da = list(map(ta.get, range(lo_a, hi_a + 1), repeat(0)))
+    db = list(map(tb.get, range(lo_b, hi_b + 1), repeat(0)))
+    # every product coefficient is at most min(|a|_1 |b|_inf, |a|_inf |b|_1)
+    # in absolute value; one more bit holds its sign
+    bound = min(sum(map(abs, da)) * max(map(abs, db)),
+                max(map(abs, da)) * sum(map(abs, db)))
+    w = bound.bit_length() // 8 + 1
+    lo = lo_a + lo_b
+    n = min(len(da) + len(db) - 1, top - lo)
+    return dict(zip(range(lo, lo + n),
+                    _unpack(_pack(da, w) * _pack(db, w), n, w)))
 
 
 class QSeries:
@@ -275,11 +351,14 @@ class QSeries:
                   None if va is None else _tsum(other._t, *va))
         if not ta or not tb:
             return QSeries._new(D, {}, t)
-        # pairs of terms, each row cut where its products reach the slot
-        # limit (or pass the last pair when the product is exact)
         top = max(ta) + max(tb) + 1
         if t is not None:
             top = min(top, _slots(t, D))
+        out = _packed_product(ta, tb, top)
+        if out is not None:
+            return QSeries._new(D, out, t)
+        # pairs of terms, each row cut where its products reach the slot
+        # limit (or pass the last pair when the product is exact)
         if len(ta) > len(tb):
             ta, tb = tb, ta
         inner = sorted(tb.items())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 from superdenom.series import (CoefficientUnknown, EmptyComparisonRange,
                                NonIntegerExponents, ZeroLeadingTerm)
@@ -386,3 +387,21 @@ def cycle_product(shape, sign: int, half_shift: bool,
                 for j in range(nslots - 1, e - 1, -1):
                     coeffs[j] += c * coeffs[j - e]
     return FractionSeries(D, {j: cj for j, cj in enumerate(coeffs) if cj}, prec)
+
+
+def whole_list_cycle_coeffs(shape, sign: int, half_shift: bool,
+                            nslots: int) -> list[int]:
+    """The first nslots coefficients of cycle_product(shape, sign,
+    half_shift, ...) as a list of ints, by whole-list updates: the factor
+    1 + c*q^{e/D} with c = +-1 is a[e:] = a[e:] +- a, whose right side is
+    built from the old values before it is stored, applied b_a times."""
+    D = 2 if half_shift else 1
+    coeffs = [0] * nslots
+    if nslots:
+        coeffs[0] = 1
+    for a, b in shape.cycles:
+        op = add if -((-sign) ** a) == 1 else sub
+        for e in range(a, nslots, D * a):
+            for _ in range(b):
+                coeffs[e:] = map(op, coeffs[e:], coeffs)
+    return coeffs

@@ -158,13 +158,55 @@ class TestCycleProducts:
     @pytest.mark.parametrize("half_shift", [False, True])
     def test_whole_list_update_matches_per_slot_loop(self, shape, sign,
                                                      half_shift):
+        """The packed product and the whole-list update it replaced both
+        match the per-slot loop."""
+        D = 2 if half_shift else 1
         for prec in PRECS:
-            _same_series(cycle_product(shape, sign, half_shift, prec),
-                         oracle.cycle_product(shape, sign, half_shift, prec))
+            want = oracle.cycle_product(shape, sign, half_shift, prec)
+            _same_series(cycle_product(shape, sign, half_shift, prec), want)
+            listed = oracle.whole_list_cycle_coeffs(
+                shape, sign, half_shift, -(-F(prec) * D // 1))
+            _same_series(oracle.FractionSeries(D, dict(enumerate(listed)),
+                                               F(prec)), want)
 
     def test_sign_must_be_unit(self):
         with pytest.raises(ValueError):
             cycle_product(SHAPE_1232, 2, False, F(5))
+
+
+class TestPackedWidth:
+    """cycle_product packs its slots at _slot_bytes's width, a proven bound
+    on the all-plus product prod (1 + y^e)^B."""
+
+    @pytest.mark.parametrize("shape", [SHAPE_1_8, SHAPE_1232, SHAPE_1171],
+                             ids=lambda s: s.label())
+    @pytest.mark.parametrize("half_shift", [False, True])
+    def test_all_plus_product_fits(self, shape, half_shift):
+        """For every n up to 1000 slots, every coefficient of the n-slot
+        product lies below 2^(8w-1), w = _slot_bytes(B, n - 1).  Every
+        shipped cycle length is odd, so sign +1 gives the all-plus product,
+        whose coefficients are the largest of either sign."""
+        assert all(a % 2 for a, _ in shape.cycles)
+        B = sum(b for _, b in shape.cycles)
+        coeffs = oracle.whole_list_cycle_coeffs(shape, 1, half_shift, 1000)
+        top = 0
+        for j, c in enumerate(coeffs):
+            top = max(top, c)
+            assert top < 2 ** (8 * etaq._slot_bytes(B, j) - 1), j
+
+    @pytest.mark.parametrize("shape", [SHAPE_1_8, SHAPE_1232, SHAPE_1171],
+                             ids=lambda s: s.label())
+    def test_one_byte_narrower_differs(self, monkeypatch, shape):
+        """Negative control at 200 slots: with the fewest bytes that hold
+        the largest coefficient and its sign the product matches the
+        oracle; with one byte less it does not."""
+        want = oracle.cycle_product(shape, 1, False, 200)
+        tight = (max(want.terms.values()).bit_length() + 1 + 7) // 8
+        for w, same in ((tight, True), (tight - 1, False)):
+            monkeypatch.setattr(etaq, "_slot_bytes", lambda B, j: w)
+            got = cycle_product(shape, 1, False, 200)
+            assert ((got.expdenom, got.terms) ==
+                    (want.expdenom, want.terms)) is same, w
 
 
 class TestSusyIdentities:

@@ -335,3 +335,120 @@ class TestIntegerKernel:
         _agree(results["inverse"], ao.inverse())
         _agree(results["powers"][0], ao ** 3)
         _agree(results["powers"][1], ao ** -2)
+
+
+# ----------------------------------------------------------------------
+# the packed (Kronecker) product against the oracle
+
+def _capacity(k):
+    """The largest absolute value a slot of k bytes holds with its sign."""
+    return 2 ** (8 * k - 1) - 1
+
+
+@st.composite
+def _packable(draw):
+    """A dense integer series, from 1 to 72 terms, so that products fall on
+    both sides of the packing gate: coefficients up to a slot's capacity,
+    keys from q^{-2}, grids 1/1 and 1/2 and truncations inside the
+    product."""
+    cap = _capacity(draw(st.integers(1, 4)))
+    coeffs = st.one_of(st.integers(-9, 9), st.sampled_from([cap, -cap]))
+    den = draw(st.sampled_from([1, 2]))
+    start = draw(st.integers(-4, 4))
+    n = draw(st.integers(1, 72))
+    cs = draw(st.lists(coeffs, min_size=n, max_size=n))
+    trunc = draw(st.one_of(st.none(), st.builds(
+        F, st.integers(-2, 150), st.sampled_from([1, 2, 3]))))
+    return [(F(start + i, den), c) for i, c in enumerate(cs)], trunc
+
+
+def _refuse(coeffs, w):
+    raise AssertionError("this product must loop over pairs of terms")
+
+
+def _spy(monkeypatch):
+    """Replace series._pack by a wrapper that records the slot widths."""
+    widths, real = [], series._pack
+
+    def recording(coeffs, w):
+        widths.append(w)
+        return real(coeffs, w)
+
+    monkeypatch.setattr(series, "_pack", recording)
+    return widths
+
+
+def _dense(D, start, coeffs, trunc=None):
+    return QSeries(D, {start + i: c for i, c in enumerate(coeffs)}, trunc)
+
+
+def _oracle(x):
+    return FractionSeries(x.expdenom, x.terms, x.trunc)
+
+
+class TestPackedProduct:
+    @settings(max_examples=120, deadline=None)
+    @given(_packable(), _packable())
+    def test_matches_fraction_oracle(self, a, b):
+        (x, xo), (y, yo) = _both(a), _both(b)
+        _agree(x * y, xo * yo)
+        _agree(x * x, xo * xo)
+
+    @pytest.mark.parametrize("n, packed", [(8, False), (16, False),
+                                           (32, True), (200, True)])
+    def test_gate_by_length(self, monkeypatch, n, packed):
+        """Dense products of n terms by 2n terms on the half grid, from
+        q^{-1/2}, cut at q^{n/2}: short ones loop over pairs of terms, long
+        ones are packed, and both agree with the oracle."""
+        widths = _spy(monkeypatch)
+        a = _dense(1, 0, [k % 7 - 3 or 5 for k in range(n)])
+        b = _dense(2, -1, [(-1) ** k * (k + 1) for k in range(2 * n)],
+                   F(n, 2))
+        got = a * b
+        assert bool(widths) == packed
+        _agree(got, _oracle(a) * _oracle(b))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_product_at_slot_capacity(self, monkeypatch, k, extra, sign):
+        """32 ones times 32 terms of one sign summing to s: the middle
+        coefficient is s, the width bound min(|a|_1 |b|_inf, |a|_inf |b|_1)
+        is |s|, and s = +-(2^(8k-1) - 1) fills a slot of k bytes; one more
+        takes k + 1 bytes."""
+        s = _capacity(k) + extra
+        parts = [s // 32] * 31 + [s - 31 * (s // 32)]
+        a = _dense(1, 0, [1] * 32)
+        b = _dense(1, 0, [sign * p for p in parts])
+        widths = _spy(monkeypatch)
+        got = a * b
+        assert widths == [k + extra] * 2
+        assert got.coeff(31) == sign * s
+        _agree(got, _oracle(a) * _oracle(b))
+
+    def test_sparse_product_stays_on_pair_loop(self, monkeypatch):
+        """200 terms at q^{7k^2}: a dense span of 277,208 slots per operand
+        for 40,000 pairs of terms."""
+        sparse = QSeries(1, {7 * k * k: k + 1 for k in range(200)}, None)
+        monkeypatch.setattr(series, "_pack", _refuse)
+        _agree(sparse * sparse, _oracle(sparse) * _oracle(sparse))
+
+    def test_fraction_operand_is_never_packed(self, monkeypatch):
+        a = _dense(1, 0, [3 * k - 7 for k in range(200)], 200)
+        b = _dense(1, 0, [F(1, 3)] + [k + 1 for k in range(1, 200)], 200)
+        monkeypatch.setattr(series, "_pack", _refuse)
+        _agree(a * b, _oracle(a) * _oracle(b))
+        _agree(b * a, _oracle(b) * _oracle(a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.data())
+    def test_pack_round_trip(self, w, data):
+        cap = _capacity(w)
+        coeffs = data.draw(st.lists(st.integers(-cap, cap), min_size=1,
+                                    max_size=40))
+        n = len(coeffs)
+        packed = series._pack(coeffs, w)
+        assert packed == sum(c << (8 * w * i) for i, c in enumerate(coeffs))
+        assert series._unpack(packed, n, w) == coeffs
+        # slots above n are ignored
+        assert series._unpack(packed + (-5 << (8 * w * n)), n, w) == coeffs
