@@ -21,19 +21,16 @@ Moebius convolution.
 F is the exponential of its log derivative.  With theta the height grading,
 theta e^beta = h(beta) e^beta, theta log of one factor is
 -2 h(alpha) mult e^(k alpha) summed over odd k, and the key of k alpha is k
-times the key of alpha.  So L = theta log F is one loop over (h, m) and the
-norm classes q <= 2mn, with one dict update per (vector, odd k)
-(lattice_log_derivative), and F comes back from L by Miller's recurrence
-t F_t = sum_j L_j F_(t-j), whose division by t is exact (exponential).
-A multiplicity depends only on alpha^2 and on N-divisibility, so L and F
-are invariant under the two mirrors of L that keep L^+ and the height,
-r* -> -r* and m <-> n, and exp commutes with both.  exponential first
-checks exactly that every bucket of L is invariant (ValueError
-otherwise), then computes t F_t only on the quarter of each bucket with
-m <= t // 2 and packed r* >= 0, which holds one key of every orbit, and
-writes each quotient at its images.  product_side is the verifier's
-product stage: the fused L, then its exponential.  The sum side reads
-the same buckets at q = 2mn.  All coefficients are exact integers.
+times the key of alpha.  A multiplicity depends only on alpha^2 and on
+N-divisibility, so L = theta log F and F are invariant under r* -> -r* and
+m <-> n, and exp commutes with both.  So the verifier writes L only on the
+quarter m <= t // 2, packed r* >= 0 of each bucket t, which holds one key
+of every orbit, after checking the inputs that make L invariant
+(log_derivative_quarters), and F comes back from it by Miller's recurrence
+t F_t = sum_j L_j F_(t-j), summed on the quarters, each exact quotient
+written at its images.  exponential checks a whole L for the invariance
+and runs the same core.  The sum side reads the same buckets at q = 2mn.
+All coefficients are exact integers.
 
 The factor list over the cone of L* (_factor_list) and the factor-by-factor
 in-place accumulator (expand_factor, mul_factor, mul_series) are not on the
@@ -305,25 +302,33 @@ def _unfold(t: int, quarter, values: dict, unit: int, bits: int):
 
 def exponential(L: LatticeSeries) -> LatticeSeries:
     """The series F with F_0 = 1 and theta log F = L (L's bucket 0 unread).
+    L must be invariant under r* -> -r* and m <-> n (ValueError
+    otherwise)."""
+    bits = _DIGIT_BITS * L.rank
+    quarters = [None] + [_quarter(t, L.buckets[t], 1 << bits, bits)
+                         for t in range(1, L.max_height + 1)]
+    return _exp_of_quarters(quarters, L.rank)
+
+
+def _exp_of_quarters(quarters: list, rank: int) -> LatticeSeries:
+    """The exponential of an L invariant under both mirrors, given by the
+    keys of each bucket t >= 1 with m <= t // 2 and packed r* >= 0 and
+    their values, quarters[t]; each becomes its height's accumulator.
 
     Miller's recurrence t F_t = sum_{j=1..t} L_j F_(t-j), summed only on
-    the quarter of bucket t with m <= t // 2 and packed r* >= 0: each
-    term of the smaller of L_j and F_(t-j) meets, row by row, the slice of
-    the larger that lands there.  L must be invariant under r* -> -r* and
-    under m <-> n (ValueError otherwise); then so is F, and the quarter
-    fills the rest of each bucket.  F has integer coefficients exactly when
-    every division by t is exact; ArithmeticError otherwise.
+    the quarter of bucket t: each term of the smaller of L_j and F_(t-j)
+    meets, row by row, the slice of the larger that lands there.  The
+    quarter fills the rest of each bucket.  F has integer coefficients
+    exactly when every division by t is exact; ArithmeticError otherwise.
     """
-    H = L.max_height
-    bits = _DIGIT_BITS * L.rank
+    H = len(quarters) - 1
+    bits = _DIGIT_BITS * rank
     unit, b1 = 1 << bits, bits + 1
-    quarters = [None] + [_quarter(t, L.buckets[t], unit, bits)
-                         for t in range(1, H + 1)]
     # bucket j < H of L meets F_(t-j) with t - j >= 1, so it is read by
     # rows; bucket H meets only F_0, that is, only its quarter is read
     Ls = [None] + [_unfold(j, quarters[j], quarters[j], unit, bits)
                    for j in range(1, H)]
-    F = LatticeSeries.one(H, L.rank)
+    F = LatticeSeries.one(H, rank)
     Fs = [([0], [1], 0, [0, 1])]  # F_0 = 1 as _unfold gives it
     for t in range(1, H + 1):
         top = t // 2
@@ -488,54 +493,71 @@ def lattice_vectors(tc: TwistClass, series: LatticeSeries):
             for q, vecs in by_norm.items()}
 
 
-def lattice_log_derivative(tc: TwistClass, vectors, max_height: int):
-    """(L, factor count): L = theta log of the product side, summed from
-    the lattice vectors without a factor list.
+def log_derivative_quarters(tc: TwistClass, vectors, max_height: int):
+    """(quarters, factor count): quarters[t] maps the keys of bucket t of
+    L = theta log of the product side with m <= t // 2 and packed r* >= 0
+    to their values, summed from the lattice vectors without a factor list.
 
     Every root alpha = (r; m, n) has equal even and odd multiplicity v, so
     its factor adds -2 h v at k alpha for odd k and nothing for even k.
-    The loop runs over (h, m), then over the norm classes q <= 2mn, with v
-    read once per class and N-divisibility (class_multiplicity).  alpha
-    lies in N L* iff N divides m, n and gcd(G c).  The count is the length
-    of the split-form factor list: one factor per nonzero c1 and one per
-    nonzero c2.
+    The loop runs over (h, m <= h // 2), then over the norm classes
+    q <= 2mn, with v read once per class and N-divisibility
+    (class_multiplicity), then over the class's vectors with r* >= 0.
+    alpha lies in N L* iff N divides m, n and gcd(G c).  The count is the
+    length of the split-form factor list: one factor per nonzero c1 and
+    one per nonzero c2, twice on the rows with m < n.
     """
-    N, rank = tc.order, tc.fixed.rank
+    N = tc.order
     # grow the c series once: the largest exponent read is -alpha^2/2 at
     # r = 0 and the largest mn
     tc._need((max_height // 2) * ((max_height + 1) // 2))
-    L = LatticeSeries(max_height, rank)
-    buckets = L.buckets
-    unit_m = L.pack((0,) * rank, 1)
-    # norm classes in order, each split into vectors off and in N L*
-    classes = [(q, [k for k, gd, _ in vecs if gd % N],
-                [k for k, gd, _ in vecs if gd % N == 0])
-               for q, vecs in sorted(vectors.items())]
+    unit = 1 << (_DIGIT_BITS * tc.fixed.rank)
+    quarters = [dict() for _ in range(max_height + 1)]
+    # norm classes in order, each split into vectors off and in N L*, as
+    # (count, the keys with r* >= 0), closed under negation
+    classes = []
+    for q, vecs in sorted(vectors.items()):
+        split = ([k for k, gd, _ in vecs if gd % N],
+                 [k for k, gd, _ in vecs if gd % N == 0])
+        if any(set(keys) != {-k for k in keys} for keys in split):
+            raise ValueError(f"L is not invariant under r* -> -r* at "
+                             f"norm {q}")
+        classes.append((q, *[(len(keys), [k for k in keys if k >= 0])
+                             for keys in split]))
     count = 0
     for h in range(1, max_height + 1):
         odd_k = range(1, max_height // h + 1, 2)
-        for m in range(h + 1):
+        for m in range(h // 2 + 1):
             n = h - m
-            base = m * unit_m
+            base = m * unit
+            images = 1 if m == n else 2
             mn_divisible = m % N == 0 and n % N == 0
             for q, off, on in classes:
                 if q > 2 * m * n:
                     break
+                divisible = on[0] and mn_divisible
                 lo = class_multiplicity(tc, q, m, n, False)
                 hi = class_multiplicity(tc, q, m, n, True) \
-                    if on and mn_divisible else lo
-                for (c1, c2), keys in ((lo, off), (hi, on)):
-                    if not keys:
+                    if divisible else lo
+                # row (n, m) is row (m, n) moved by m <-> n
+                if m < n and (
+                        lo != class_multiplicity(tc, q, n, m, False)
+                        or divisible
+                        and hi != class_multiplicity(tc, q, n, m, True)):
+                    raise ValueError(f"L is not invariant under m <-> n at "
+                                     f"norm {q}, (m, n) = ({m}, {n})")
+                for (c1, c2), (size, keys) in ((lo, off), (hi, on)):
+                    if not size:
                         continue
                     if c1 < 0 or c2 < 0:
                         raise ValueError("multiplicities must be nonnegative")
                     v = c1 + c2
-                    count += len(keys) * ((c1 != 0) + (c2 != 0))
+                    count += images * size * ((c1 != 0) + (c2 != 0))
                     if not v:
                         continue
                     c = -2 * h * v
                     for k in odd_k:
-                        b, shift = buckets[k * h], k * base
+                        b, shift = quarters[k * h], k * base
                         get = b.get
                         for key in keys:
                             key = k * key + shift
@@ -544,14 +566,14 @@ def lattice_log_derivative(tc: TwistClass, vectors, max_height: int):
                                 b[key] = t
                             else:
                                 del b[key]
-    return L, count
+    return quarters, count
 
 
 def product_side(tc: TwistClass, max_height: int, vectors):
     """(F, factor count): the product over the positive cone, truncated by
-    height, as the exponential of lattice_log_derivative."""
-    L, count = lattice_log_derivative(tc, vectors, max_height)
-    return exponential(L), count
+    height, as the exponential of log_derivative_quarters."""
+    quarters, count = log_derivative_quarters(tc, vectors, max_height)
+    return _exp_of_quarters(quarters, tc.fixed.rank), count
 
 
 def sum_side(tc: TwistClass, max_height: int, vectors) -> LatticeSeries:

@@ -104,23 +104,31 @@ def eta_expand(spec: EtaQuotient, prec) -> QSeries:
     return QSeries(1, dict(enumerate(F)), rel) * QSeries.monomial(lead)
 
 
-def _slot_bytes(B: int, j: int) -> int:
+def _slot_bytes(B: int, j: int, half_shift: bool) -> int:
     """Bytes per slot that hold, with a sign bit, every coefficient up to
-    y^j of a product of factors 1 +- y^e, e >= 1, none of whose exponents
-    occurs more than B times.
+    y^j of a cycle product: for each cycle a, b_a factors 1 +- y^e at each
+    multiple e of a, or at each odd multiple with the half shift, with
+    B = sum b_a.
 
-    The coefficient of y^i is at most [y^i] F in absolute value, with
-    F = prod_{e>=1} (1 + y^e)^B.  F has nonnegative coefficients, so
+    The coefficient of y^i is at most [y^i] F in absolute value, F the
+    product with every sign +.  F has nonnegative coefficients, so
     [y^i] F <= F(x)/x^i <= F(x)/x^j for 0 < x < 1 and i <= j, and
-    log(1 + u) <= u gives log F(x) <= B x/(1 - x).  At x = 1 - 1/(t+1) for
-    an integer t >= 1 that is B t, and -log x = log(1 + 1/t) <= 1/t, so the
-    coefficient is at most exp(B t + j/t) < 2^(1.5 (B t + ceil(j/t))), as
-    log2(e) < 1.5.  t = max(1, isqrt(j // B)) is near the minimising
-    sqrt(j/B); ceil(1.5 (B t + ceil(j/t))) + 1 bits then hold the
-    coefficient and its sign.
+    log(1 + u) <= u bounds log F(x) by the sum over a of b_a x^a/(1 - x^a)
+    <= B x/(1 - x), or of b_a x^a/(1 - x^(2a)) <= B x/(1 - x^2) with the
+    half shift, as x^-a - 1 and x^-a - x^a grow with a.  At
+    x = 1 - 1/(t+1) for an integer t >= 1 the bound is B t, or
+    B t (t+1)/(2t+1), and -log x = log(1 + 1/t) <= 1/t, so the coefficient
+    is at most exp(y) with y = ceil(bound) + ceil(j/t), below 2^(1.5 y) as
+    log2(e) < 1.5.  t = max(1, isqrt(j // B)), or max(1, isqrt(2j // B)),
+    is near the minimising sqrt(j/B), or sqrt(2j/B); ceil(1.5 y) + 1 bits
+    then hold the coefficient and its sign.
     """
-    t = max(1, isqrt(j // B))
-    y = B * t + -(-j // t)
+    if half_shift:
+        t = max(1, isqrt(2 * j // B))
+        y = -(-B * t * (t + 1) // (2 * t + 1)) + -(-j // t)
+    else:
+        t = max(1, isqrt(j // B))
+        y = B * t + -(-j // t)
     bits = (3 * y + 1) // 2 + 1
     return -(-bits // 8)
 
@@ -148,7 +156,8 @@ def cycle_product(shape: CycleShape, sign: int, half_shift: bool,
     nslots = max(0, -((-prec.numerator * D) // prec.denominator))
     if not nslots:
         return QSeries(D, {}, prec)
-    w = _slot_bytes(sum(b for _, b in shape.cycles), nslots - 1)
+    w = _slot_bytes(sum(b for _, b in shape.cycles), nslots - 1,
+                    half_shift)
     # each step moves x by less than 2^(8wn); starting S such moves above 1
     # keeps x positive, where & needs no two's-complement copy
     steps = sum(b * len(range(a, nslots, D * a)) for a, b in shape.cycles)

@@ -6,16 +6,20 @@
   summed from the smaller of its two buckets.  It reads any L, symmetric
   or not.
 - log_derivative: L = theta log F of a factor list, one factor at a time.
+- lattice_log_derivative: L = theta log F from the lattice vectors in
+  every mirror image, as the verifier built it before it wrote only the
+  quarter of each bucket that the exponential reads.
 - accumulated_product: F of a factor list by series products, one factor
   at a time into an in-place accumulator, with no exp or log.
 
-Nothing in the package uses this module; tests compare denom.exponential
-and the verifier's product side with it.
+Nothing in the package uses this module; tests compare denom.exponential,
+denom.log_derivative_quarters and the verifier's product side with it.
 """
 
 from __future__ import annotations
 
 from superdenom.denom import LatticeSeries, expand_factor
+from superdenom.mult import class_multiplicity
 
 
 def _shift_add(dst: dict, src: dict, shift: int, c: int):
@@ -83,6 +87,65 @@ def log_derivative(factors, max_height: int, rank: int) -> LatticeSeries:
                 else:
                     del b[key]
     return L
+
+
+def lattice_log_derivative(tc, vectors, max_height: int):
+    """(L, factor count): L = theta log of the product side, every key of
+    every bucket, summed from the lattice vectors without a factor list.
+
+    Every root alpha = (r; m, n) has equal even and odd multiplicity v, so
+    its factor adds -2 h v at k alpha for odd k and nothing for even k.
+    The loop runs over (h, m), then over the norm classes q <= 2mn, with v
+    read once per class and N-divisibility (class_multiplicity).  alpha
+    lies in N L* iff N divides m, n and gcd(G c).  The count is the length
+    of the split-form factor list: one factor per nonzero c1 and one per
+    nonzero c2.
+    """
+    N, rank = tc.order, tc.fixed.rank
+    # grow the c series once: the largest exponent read is -alpha^2/2 at
+    # r = 0 and the largest mn
+    tc._need((max_height // 2) * ((max_height + 1) // 2))
+    L = LatticeSeries(max_height, rank)
+    buckets = L.buckets
+    unit_m = L.pack((0,) * rank, 1)
+    # norm classes in order, each split into vectors off and in N L*
+    classes = [(q, [k for k, gd, _ in vecs if gd % N],
+                [k for k, gd, _ in vecs if gd % N == 0])
+               for q, vecs in sorted(vectors.items())]
+    count = 0
+    for h in range(1, max_height + 1):
+        odd_k = range(1, max_height // h + 1, 2)
+        for m in range(h + 1):
+            n = h - m
+            base = m * unit_m
+            mn_divisible = m % N == 0 and n % N == 0
+            for q, off, on in classes:
+                if q > 2 * m * n:
+                    break
+                lo = class_multiplicity(tc, q, m, n, False)
+                hi = class_multiplicity(tc, q, m, n, True) \
+                    if on and mn_divisible else lo
+                for (c1, c2), keys in ((lo, off), (hi, on)):
+                    if not keys:
+                        continue
+                    if c1 < 0 or c2 < 0:
+                        raise ValueError("multiplicities must be nonnegative")
+                    v = c1 + c2
+                    count += len(keys) * ((c1 != 0) + (c2 != 0))
+                    if not v:
+                        continue
+                    c = -2 * h * v
+                    for k in odd_k:
+                        b, shift = buckets[k * h], k * base
+                        get = b.get
+                        for key in keys:
+                            key = k * key + shift
+                            t = get(key, 0) + c
+                            if t:
+                                b[key] = t
+                            else:
+                                del b[key]
+    return L, count
 
 
 def accumulated_product(factors, max_height: int, rank: int,

@@ -1,5 +1,6 @@
 """Denominator-identity expander: factors, product, sum, reports."""
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -12,9 +13,9 @@ import superdenom.denom as dn
 from denom_oracle import accumulated_product, log_derivative
 from superdenom import lattices
 from superdenom.denom import (LatticeSeries, expand_factor, exponential,
-                              factor_coefficients, lattice_log_derivative,
-                              lattice_vectors, product_side, sum_side,
-                              verify_identity)
+                              factor_coefficients, lattice_vectors,
+                              log_derivative_quarters, product_side,
+                              sum_side, verify_identity)
 from superdenom.lattices import LorentzianLattice, LorentzianPoint
 from superdenom.mult import NonIntegralMultiplicity, TwistClass
 
@@ -321,7 +322,8 @@ class TestExpOfLogDerivative:
     def test_verifier_product_matches_oracle(self, order, height,
                                              tc1, tc3, tc7):
         tc = {1: tc1, 3: tc3, 7: tc7}[order]
-        L, _ = lattice_log_derivative(tc, _vectors(tc, height), height)
+        L, _ = oracle.lattice_log_derivative(tc, _vectors(tc, height),
+                                             height)
         new = exponential(L)
         assert new.buckets == oracle.exponential(L).buckets
         assert new.term_count() > height
@@ -568,6 +570,34 @@ class TestVerifyIdentity:
         assert r.first_discrepancy == (((-3, -1, 2, 3), 1, 2), 0, -2)
         assert not r.anisotropic_ok
 
+    def test_asymmetric_multiplicity_raises(self, tc3, monkeypatch):
+        """c1 + 1 only where m < n breaks m <-> n: the quarter build
+        compares each row with its mirror."""
+        orig = dn.class_multiplicity
+
+        def bad(tc, q, m, n, divisible):
+            c1, c2 = orig(tc, q, m, n, divisible)
+            return (c1 + (m < n), c2)
+        monkeypatch.setattr(dn, "class_multiplicity", bad)
+        with pytest.raises(ValueError, match="not invariant under m <-> n"):
+            dn.verify_identity(3, 3, tc=tc3)
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_vector_without_its_negative_raises(self, order, tc1, tc3, tc7,
+                                                monkeypatch):
+        """One vector of the least positive norm dropped, its negative
+        kept: the class is no longer closed under r* -> -r*."""
+        tc = {1: tc1, 3: tc3, 7: tc7}[order]
+        orig = dn.lattice_vectors
+
+        def dropped(tc, series):
+            vectors = orig(tc, series)
+            vectors[min(q for q in vectors if q)].pop()
+            return vectors
+        monkeypatch.setattr(dn, "lattice_vectors", dropped)
+        with pytest.raises(ValueError, match=r"not invariant under r\* -> "):
+            dn.verify_identity(order, 2, tc=tc)
+
     def test_negative_multiplicity_rejected(self, tc3, monkeypatch):
         monkeypatch.setattr(dn, "class_multiplicity",
                             lambda tc, q, m, n, divisible: (-1, 0))
@@ -605,7 +635,7 @@ class TestPackedPipeline:
         rank = tc.fixed.rank
         vectors = _vectors(tc, height)
         factors = dn._factor_list(tc, height, "split")
-        L, count = lattice_log_derivative(tc, vectors, height)
+        L, count = oracle.lattice_log_derivative(tc, vectors, height)
         assert L.buckets == log_derivative(factors, height, rank).buckets
         assert count == len(factors)
         assert dn._anisotropic_ok(exponential(L), vectors)
@@ -617,6 +647,62 @@ class TestPackedPipeline:
             (order > 1)
         assert sum_side(tc, height, vectors).buckets == \
             self._reference_sum_side(tc, height).buckets
+
+    @pytest.mark.parametrize("order,height", [(1, 4), (3, 9), (7, 26)])
+    def test_quarters_match_full_builder(self, order, height, tc1, tc3, tc7):
+        """At every height up to the given one, the quarter build equals
+        _quarter of the full-bucket builder, bucket by bucket, with the
+        same factor count."""
+        tc = {1: tc1, 3: tc3, 7: tc7}[order]
+        vectors = _vectors(tc, height)
+        bits = dn._DIGIT_BITS * tc.fixed.rank
+        for H in range(1, height + 1):
+            quarters, count = log_derivative_quarters(tc, vectors, H)
+            L, ref_count = oracle.lattice_log_derivative(tc, vectors, H)
+            assert count == ref_count
+            assert quarters[0] == {}
+            for t in range(1, H + 1):
+                assert quarters[t] == dn._quarter(t, L.buckets[t],
+                                                  1 << bits, bits), (H, t)
+
+    def test_writes_a_quarter_of_the_keys(self, tc7):
+        """Order 7, height 18: the build writes the 3,156 keys the
+        exponential reads, of the full L's 11,721, and counts every one of
+        the 11,740 factors."""
+        vectors = _vectors(tc7, 18)
+        quarters, count = log_derivative_quarters(tc7, vectors, 18)
+        L, ref_count = oracle.lattice_log_derivative(tc7, vectors, 18)
+        assert sum(map(len, quarters)) == 3156
+        assert L.term_count() == 11721
+        assert count == ref_count == 11740
+
+    @pytest.mark.parametrize("order,height", [(7, 26), (3, 9)])
+    def test_memory_under_half_the_full_path(self, order, height, tc3, tc7):
+        """The traced peak of product_side is at most half that of the
+        full L and its exponential.  Both paths run once untraced first,
+        so the c series and its caches are grown before either is traced.
+        """
+        tc = {3: tc3, 7: tc7}[order]
+        vectors = _vectors(tc, height)
+
+        def full():
+            L, _ = oracle.lattice_log_derivative(tc, vectors, height)
+            return exponential(L)
+
+        def quarter():
+            return product_side(tc, height, vectors)[0]
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                path()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert not tracemalloc.is_tracing()
+        assert quarter() == full()
+        assert peak(quarter) <= 0.5 * peak(full)
 
     @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 12)])
     def test_keys_match_pack(self, order, height, tc1, tc3, tc7):

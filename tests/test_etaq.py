@@ -176,37 +176,44 @@ class TestCycleProducts:
 
 class TestPackedWidth:
     """cycle_product packs its slots at _slot_bytes's width, a proven bound
-    on the all-plus product prod (1 + y^e)^B."""
+    on the all-plus product prod (1 + y^e)^B over its exponents e."""
 
     @pytest.mark.parametrize("shape", [SHAPE_1_8, SHAPE_1232, SHAPE_1171],
                              ids=lambda s: s.label())
     @pytest.mark.parametrize("half_shift", [False, True])
     def test_all_plus_product_fits(self, shape, half_shift):
         """For every n up to 1000 slots, every coefficient of the n-slot
-        product lies below 2^(8w-1), w = _slot_bytes(B, n - 1).  Every
-        shipped cycle length is odd, so sign +1 gives the all-plus product,
-        whose coefficients are the largest of either sign."""
+        product lies below 2^(8w-1), w = _slot_bytes(B, n - 1, half_shift).
+        Every shipped cycle length is odd, so sign +1 gives the all-plus
+        product, whose coefficients are the largest of either sign.  The
+        half shift's width, from its odd exponents, is at most the full
+        shift's."""
         assert all(a % 2 for a, _ in shape.cycles)
         B = sum(b for _, b in shape.cycles)
         coeffs = oracle.whole_list_cycle_coeffs(shape, 1, half_shift, 1000)
         top = 0
         for j, c in enumerate(coeffs):
             top = max(top, c)
-            assert top < 2 ** (8 * etaq._slot_bytes(B, j) - 1), j
+            w = etaq._slot_bytes(B, j, half_shift)
+            assert top < 2 ** (8 * w - 1), j
+            assert w <= etaq._slot_bytes(B, j, False), j
 
     @pytest.mark.parametrize("shape", [SHAPE_1_8, SHAPE_1232, SHAPE_1171],
                              ids=lambda s: s.label())
     def test_one_byte_narrower_differs(self, monkeypatch, shape):
-        """Negative control at 200 slots: with the fewest bytes that hold
-        the largest coefficient and its sign the product matches the
-        oracle; with one byte less it does not."""
-        want = oracle.cycle_product(shape, 1, False, 200)
-        tight = (max(want.terms.values()).bit_length() + 1 + 7) // 8
-        for w, same in ((tight, True), (tight - 1, False)):
-            monkeypatch.setattr(etaq, "_slot_bytes", lambda B, j: w)
-            got = cycle_product(shape, 1, False, 200)
-            assert ((got.expdenom, got.terms) ==
-                    (want.expdenom, want.terms)) is same, w
+        """Negative control at 200 slots, with and without the half shift:
+        with the fewest bytes that hold the largest coefficient and its
+        sign the product matches the oracle; with one byte less it does
+        not."""
+        for half_shift, prec in ((False, 200), (True, 100)):
+            want = oracle.cycle_product(shape, 1, half_shift, prec)
+            tight = (max(want.terms.values()).bit_length() + 1 + 7) // 8
+            for w, same in ((tight, True), (tight - 1, False)):
+                monkeypatch.setattr(etaq, "_slot_bytes",
+                                    lambda B, j, half_shift: w)
+                got = cycle_product(shape, 1, half_shift, prec)
+                assert ((got.expdenom, got.terms) ==
+                        (want.expdenom, want.terms)) is same, (half_shift, w)
 
 
 class TestSusyIdentities:
