@@ -14,9 +14,8 @@ The verifier enumerates the fixed lattice once, up to norm 2 max(mn), bucketed
 by norm (lattice_vectors).  The key of r is pack(G c), summed by linearity
 from the digits of G c times their place values.  A root's multiplicity
 depends only on its norm class r^2 = q, on (m, n) and on whether it lies in
-N L*, so it is read once per class from mult.class_multiplicity, the closed
-form that mult_closed reads too and that verify mult checks against the
-Moebius convolution.
+N L*, so it is read once per class from mult.class_multiplicity; verify mult
+checks the same closed form (mult_closed) against the Moebius convolution.
 
 F is the exponential of its log derivative.  With theta the height grading,
 theta e^beta = h(beta) e^beta, theta log of one factor is
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
 from operator import itemgetter, mul
@@ -436,35 +434,29 @@ def _factor_list(tc: TwistClass, max_height: int, form: str):
         raise ValueError(f"unknown product form {form!r}")
     lor = tc.lorentzian
     N, D = tc.order, lor.exponent
+    A = tc.fixed.scaled_gram_inv.rows  # D Gram^-1
     closed = form == "theorem1" or N == 1
     # grow the c series once: the largest exponent read is -alpha^2/2 at
     # r* = 0 and the largest mn
     tc._need((max_height // 2) * ((max_height + 1) // 2))
     factors = []
-    rows = lor.rows
-    cs: dict[tuple[int, int], int] = {}  # (num, den) -> c(num/den)
-
-    def c_at(num: int, den: int) -> int:
-        c = cs.get((num, den))
-        if c is None:
-            c = cs[num, den] = tc.c_coeff(Fraction(num, den))
-        return c
-
     for p in lor.positive_cone_enum(max_height):
-        row = rows[p.rcoords]
-        if not row.in_lattice:
+        r = p.rcoords
+        w = [sum(map(mul, a, r)) for a in A]
+        if any(v % D for v in w):
             continue  # multiplicities vanish off L
+        x = 2 * p.m * p.n * D - sum(map(mul, w, r))  # D * (-alpha^2)
+        divisible = gcd(p.m, p.n, *r) % N == 0  # alpha in N L*
         if closed:
-            me, mo = mult_closed(tc, p)
+            me, mo = mult_closed(tc, x, divisible)
             if me or mo:
                 factors.append((p, me, mo))
             continue
-        x = 2 * p.m * p.n * D - row.norm_scaled  # D * (-alpha^2)
-        c1 = c_at(x, 2 * D)
+        c1 = tc.c_at(x, 2 * D)
         if c1:
             factors.append((p, c1, c1))
-        if gcd(p.m, p.n, row.gcd) % N == 0:  # alpha in N L*
-            c2 = c_at(x, 2 * D * N)
+        if divisible:
+            c2 = tc.c_at(x, 2 * D * N)
             if c2:
                 factors.append((p, c2, c2))
     return factors

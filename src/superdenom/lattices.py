@@ -7,9 +7,10 @@ for a dual).  Gram inverse, coordinates, determinant, level and the
 Fincke-Pohst completion all run in ints by fraction-free elimination; the
 Fraction forms basis, gram and gram_inv() are built on first read.  The
 hyperbolic plane II_{1,1} is fixed once and for all with Gram
-[[0,-1],[-1,0]] and positive cone {m >= 0, n >= 0}; Lorentzian points are
-handled by LorentzianLattice below without an explicit ambient Lorentzian
-space.
+[[0,-1],[-1,0]] and positive cone {m >= 0, n >= 0}; a Lorentzian point
+(r*; m, n) keeps the dual coordinates r* of its definite part, and
+LorentzianLattice below answers its membership in integers, A r* = 0 mod D,
+without an ambient Lorentzian space or a table per r*.
 
 Point enumeration is exact (Fincke-Pohst, rescaled once so that it runs on
 integers) and deterministic (lexicographic coordinate order).  Theta series
@@ -24,7 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import add, mul
-from typing import NamedTuple
 
 # mat_vec is not called here; the benchmark's tracer patches the name
 from .intlinalg import (Scaled, det, fractions, hnf, left_kernel_basis,
@@ -525,47 +525,9 @@ class LorentzianPoint:
     def height(self) -> int:
         return self.m + self.n
 
-    def divide(self, t: int) -> "LorentzianPoint":
-        if any(c % t for c in self.rcoords) or self.m % t or self.n % t:
-            raise ValueError(f"point is not divisible by {t}")
-        return LorentzianPoint(tuple(c // t for c in self.rcoords),
-                               self.m // t, self.n // t)
-
     def multiply(self, k: int) -> "LorentzianPoint":
         return LorentzianPoint(tuple(c * k for c in self.rcoords),
                                self.m * k, self.n * k)
-
-
-class RStarRow(NamedTuple):
-    """What a cone point's multiplicity needs to know about its r*."""
-
-    norm_scaled: int        # D * r*^2 = r*.A r*
-    in_lattice: bool        # r* in the fixed lattice: A r* = 0 mod D
-    label: tuple[int, ...]  # discriminant coset of r*
-    gcd: int                # gcd of the dual coordinates, 0 for r* = 0
-
-
-class _RowTable(dict):
-    """r* -> RStarRow, each row computed on its first lookup, so a lookup
-    that hits is a plain dict subscript."""
-
-    def __init__(self, scaled_inv, exponent: int, disc: DiscriminantGroup):
-        super().__init__()
-        self.scaled_inv, self.exponent, self.disc = scaled_inv, exponent, disc
-        self.labels: dict[tuple, tuple] = {}  # A r* mod D -> coset label
-
-    def __missing__(self, rcoords) -> RStarRow:
-        D = self.exponent
-        w = [sum(map(mul, a, rcoords)) for a in self.scaled_inv]  # A r*
-        # A r* mod D names the coset of r* in L*/L: it is 0 on L, and the
-        # canonical label is reduced once per coset
-        coset = tuple([x % D for x in w])
-        label = self.labels.get(coset)
-        if label is None:
-            label = self.labels[coset] = self.disc.coset_label(rcoords)
-        row = self[rcoords] = RStarRow(sum(map(mul, w, rcoords)),
-                                       not any(coset), label, gcd(*rcoords))
-        return row
 
 
 class LorentzianLattice:
@@ -574,24 +536,20 @@ class LorentzianLattice:
     Points of L* carry dual coordinates r*, and every question about them is
     answered in integers through A = D * Gram^{-1}, D the exponent of the
     discriminant group: r* lies in the fixed lattice iff A r* = 0 mod D, and
-    r*^2 = r*.A r* / D.  The answers that depend on r* alone are computed
-    once per distinct r* and kept as one RStarRow in rows[r*].
+    r*^2 = r*.A r* / D.
     """
 
     def __init__(self, fixed: IntegralLattice):
         self.fixed = fixed
         self.dual = fixed.dual() if fixed.rank else fixed
         self.disc = fixed.discriminant_group()
-        inv = fixed.scaled_gram_inv
-        self.exponent = inv.den
-        self.rows = _RowTable(inv.rows, self.exponent, self.disc)
-
-    def pairing_divisor(self, p: LorentzianPoint) -> int:
-        return gcd(p.m, p.n, self.rows[p.rcoords].gcd)
+        self.exponent = fixed.scaled_gram_inv.den
 
     def in_lattice(self, p: LorentzianPoint) -> bool:
         """Membership of the definite part in the fixed lattice itself."""
-        return self.rows[p.rcoords].in_lattice
+        D = self.exponent
+        return not any(sum(map(mul, a, p.rcoords)) % D
+                       for a in self.fixed.scaled_gram_inv.rows)
 
     # -- enumeration -----------------------------------------------------
 

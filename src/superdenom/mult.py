@@ -6,11 +6,10 @@ The central object is the Moebius-convolution formula
 
 evaluated in integers as c * mult(alpha), c = ((alpha,L), N), together with
 the closed forms (c(-alpha^2/2) on L, plus c(-alpha^2/2N) on N*L*) that it
-must reproduce.  Exponents are integer numerators over 2D, read from the
-lattice's per-r* rows, so no Fraction is built per point.  Both formulas
-read a point only through its signature (alpha^2, the coset of r*, c and
-the cosets of r*/k for k | c), so the multiplicity table evaluates and
-compares them once per signature and writes one row per point.
+must reproduce.  Both read a point only through its signature, passed as
+ints: x = D * -alpha^2, c and the coset labels of r*/k for k | c (the closed
+form needs x and whether alpha lies in N L*).  So the multiplicity table
+evaluates and compares them once per signature and writes one row per point.
 Only odd twist orders are supported; the convolution inverse used in the
 derivation is wrong for even orders.
 """
@@ -180,51 +179,52 @@ def _integer(v, name: str, num: int, den: int) -> int:
     return v.numerator
 
 
-def trace_term(tc: TwistClass, d: int, beta: LorentzianPoint,
+def trace_term(tc: TwistClass, d: int, num: int, label: tuple,
                parity: str = "even") -> int:
-    """tr(g^d | E~_beta) for a point beta of L*.
+    """tr(g^d | E~_beta) for a point beta of L* with (1 - beta^2)/2 =
+    num/2D and r* in the coset label, which is 0 exactly on L.
 
     For g^d = 1 this is the graded dimension, read off the coset dimension
     series; otherwise the trace vanishes off L and is a coefficient of the
     twisted trace series on L.
     """
-    row = tc.lorentzian.rows[beta.rcoords]
-    D = tc.lorentzian.exponent
-    # (1 - beta^2)/2 = num/2D, with D beta^2 = D r*^2 - 2mnD
-    num, D2 = D * (1 + 2 * beta.m * beta.n) - row.norm_scaled, 2 * D
+    D2 = 2 * tc.lorentzian.exponent
     if d % tc.order == 0:
         tc._need_dim(num // D2)
-        gf = tc.gf_dim_by_coset[row.label]
+        gf = tc.gf_dim_by_coset[label]
         return _integer(gf.coeff_at(num, D2), "dimension", num, D2)
     tc._need(num // D2)
     if gcd(d, tc.order) != 1:
         raise NotImplementedError(
             "composite twist orders need per-divisor trace data")
-    if not row.in_lattice:
+    if any(label):
         return 0
     gf = tc.gf_trace_even if parity == "even" else tc.gf_trace_odd
     return _integer(gf.coeff_at(num, D2), "trace", num, D2)
 
 
-def mult_theorem1(tc: TwistClass, alpha: LorentzianPoint,
-                  parity: str = "even") -> int:
-    """The Moebius-convolution multiplicity of a nonzero cone point.
+def mult_theorem1(tc: TwistClass, x: int, c: int, labels,
+                  parity: str = "even", at="alpha") -> int:
+    """The Moebius-convolution multiplicity of a nonzero cone point alpha
+    with x = D * -alpha^2, c = gcd((alpha, L), N) and labels[k] the coset
+    label of r*/k for k | c; at names alpha in the error.
 
-    c * mult = sum mu(s) (c/ds) tr(...) is summed in integers and must be
-    divisible by c.
+    alpha/k has num = D + x/k^2.  c * mult = sum mu(s) (c/ds) tr(...) is
+    summed in integers and must be divisible by c.
     """
-    c = gcd(tc.lorentzian.pairing_divisor(alpha), tc.order)
+    D = tc.lorentzian.exponent
     total = 0
     for d in divisors(c):
         for s in divisors(c // d):
             mu = mobius(s)
             if mu:
-                total += mu * (c // (d * s)) * trace_term(
-                    tc, d, alpha.divide(d * s), parity)
+                k = d * s
+                total += mu * (c // k) * trace_term(
+                    tc, d, D + x // (k * k), labels[k], parity)
     q, r = divmod(total, c)
     if r:
         raise NonIntegralMultiplicity(
-            f"mult({alpha}) = {Fraction(total, c)} is not an integer")
+            f"mult({at}) = {Fraction(total, c)} is not an integer")
     return q
 
 
@@ -241,17 +241,15 @@ def class_multiplicity(tc: TwistClass, q: int, m: int, n: int,
             tc.c_at(x, 2 * N) if divisible and N > 1 else 0)
 
 
-def mult_closed(tc: TwistClass, alpha: LorentzianPoint):
-    """Closed-form (even, odd) multiplicities: 0 off L, class_multiplicity
-    on L, where r^2 = D r*^2 / D is an integer."""
-    lor = tc.lorentzian
-    row = lor.rows[alpha.rcoords]
-    if not row.in_lattice:
-        return (0, 0)
-    c1, c2 = class_multiplicity(
-        tc, row.norm_scaled // lor.exponent, alpha.m, alpha.n,
-        gcd(alpha.m, alpha.n, row.gcd) % tc.order == 0)
-    return (c1 + c2, c1 + c2)
+def mult_closed(tc: TwistClass, x: int, divisible: bool):
+    """Closed-form (even, odd) multiplicities at a root alpha on L with
+    x = D * -alpha^2: c(-alpha^2/2), plus c(-alpha^2/2N) when alpha lies in
+    N L* (divisible) and N > 1."""
+    D, N = tc.lorentzian.exponent, tc.order
+    v = tc.c_at(x, 2 * D)
+    if divisible and N > 1:
+        v += tc.c_at(x, 2 * D * N)
+    return (v, v)
 
 
 def simple_root_mult(tc: TwistClass, k: int):
@@ -294,22 +292,20 @@ MULT_COLUMNS = ("coset", "m", "n", "norm", "pairing_divisor",
                 "mult_even", "mult_odd", "source")
 
 
-def _checked(tc: TwistClass, p: LorentzianPoint):
-    """(even, odd) at the cone point p by the convolution formula, checked
-    against the closed form, the sign, parity and vanishing off L."""
-    even = mult_theorem1(tc, p, "even")
-    odd = mult_theorem1(tc, p, "odd")
-    closed = mult_closed(tc, p)
+def _checked(tc: TwistClass, sig: tuple, p: LorentzianPoint):
+    """(even, odd) at sig = (x, c, the labels of r*/k for k | c) by the
+    convolution formula, checked against the closed form, (v, v) on L and
+    (0, 0) off L, and the sign; p only names the point in an error."""
+    x, c, *labs = sig
+    labels = dict(zip(divisors(c), labs))
+    even = mult_theorem1(tc, x, c, labels, "even", at=p)
+    odd = mult_theorem1(tc, x, c, labels, "odd", at=p)
+    closed = (0, 0) if any(labs[0]) else mult_closed(tc, x, c == tc.order)
     if (even, odd) != closed:
         raise TheoremClosedFormMismatch(
             f"at {p}: convolution {(even, odd)} vs closed {closed}")
     if even < 0 or odd < 0:
         raise NonIntegralMultiplicity(f"negative multiplicity at {p}")
-    if even != odd:
-        raise TheoremClosedFormMismatch(
-            f"parity asymmetry at {p}: {even} != {odd}")
-    if not tc.lorentzian.in_lattice(p) and even != 0:
-        raise TheoremClosedFormMismatch(f"support off L at {p}")
     return even, odd
 
 
@@ -319,25 +315,27 @@ def build_mult_table(tc: TwistClass, max_height: int,
     the formulas once per signature, the rows once per point.
 
     Both formulas read a point (r*; m, n) only through its signature: x =
-    D * -alpha^2, the coset of r*, c = gcd((alpha, L), N) and, for c > 1,
-    the coset of r*/k for each k > 1 dividing c.  They run at a signature's
-    first point in row order (height, m, r*^2, coords), so a disagreement,
-    non-integrality, negativity, parity asymmetry or support off L is an
-    error raised at the point where a point-wise walk raises it.
+    D * -alpha^2, c = gcd((alpha, L), N) and the coset labels of r*/k for
+    each k dividing c.  They run at a signature's first point in row order
+    (height, m, r*^2, coords), so a disagreement, non-integrality or
+    negativity is an error raised at the point where a point-wise walk
+    raises it.
     """
     lor = tc.lorentzian
     D, N = lor.exponent, tc.order
     vecs = lor.cone_duals(max(max_height, 0))
-    texts: dict[tuple, str] = {}  # r* mod D -> coset label text
+    labels: dict[tuple, tuple] = {}  # r* mod D -> coset label
 
-    def label_text(r) -> str:
+    def label(r) -> tuple:
         key = tuple([v % D for v in r])  # D L* lies in L
-        if key not in texts:
-            texts[key] = "+".join(map(str, lor.rows[r].label))
-        return texts[key]
+        got = labels.get(key)
+        if got is None:
+            got = labels[key] = tc.disc.coset_label(r)
+        return got
 
-    # (D r*^2, label text, gcd(r*), r*) in cone order
-    duals = [(ns, label_text(r), gcd(*r), r) for ns, r in vecs]
+    # (D r*^2, label, its text, gcd(r*), r*) in cone order
+    duals = [(ns, lab, "+".join(map(str, lab)), gcd(*r), r)
+             for ns, r in vecs for lab in [label(r)]]
     norms = [ns for ns, _ in vecs]
     slices = []  # (2Dmn, m, n, lo, hi): the points (r*; m, n), duals[lo:hi]
     for h in range(1, max_height + 1):
@@ -358,16 +356,16 @@ def build_mult_table(tc: TwistClass, max_height: int,
     rows = []
     for cap, m, n, lo, hi in slices:
         gmn = gcd(m, n)
-        for ns, text, g, r in duals[lo:hi]:
+        for ns, lab, text, g, r in duals[lo:hi]:
             x, pd = cap - ns, gcd(gmn, g)
             c = gcd(pd, N)
-            sig = (x, text, c)
+            sig = (x, c, lab)
             if c > 1:
-                sig += tuple(label_text(tuple([v // k for v in r]))
-                             for k in divisors(c)[1:])
+                sig += tuple([label(tuple([v // k for v in r]))
+                              for k in divisors(c)[1:]])
             got = mults.get(sig)
             if got is None:
-                got = mults[sig] = _checked(tc, LorentzianPoint(r, m, n))
+                got = mults[sig] = _checked(tc, sig, LorentzianPoint(r, m, n))
             if x not in fracs:
                 fracs[x] = Fraction(-x, D)
             rows.append((text, m, n, fracs[x], pd, *got, "theorem1=closed"))

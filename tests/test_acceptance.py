@@ -186,8 +186,9 @@ def test_criterion_6_multiplicity_cross_check(tc3, tc7):
     ok = True
     sizes = {}
     for tc in (tc3, tc7):
-        # build_mult_table raises on any theorem1/closed mismatch,
-        # negativity, parity asymmetry or support off L
+        # build_mult_table raises on any theorem1/closed mismatch or
+        # negativity; the closed form is (v, v) on L and (0, 0) off L, so
+        # a parity asymmetry or support off L is a mismatch
         table = build_mult_table(tc, 6)
         sizes[tc.order] = len(table)
         ok = ok and len(table) > 0
@@ -217,9 +218,8 @@ def test_criterion_8_untwisted_identity(tc1):
     _reports[("denom", 1, 4)] = blob
     ok = r.passed and r.anisotropic_ok
     ok = ok and all(simple_root_mult(tc1, k) == (8, 8) for k in (1, 2, 3, 4))
-    from superdenom.lattices import LorentzianPoint
-    iso = LorentzianPoint((0,) * 8, 1, 0)
-    ok = ok and mult_theorem1(tc1, iso) == 8
+    # the isotropic root (0; 1, 0): x = D * -alpha^2 = 0, c = 1, r* = 0
+    ok = ok and mult_theorem1(tc1, 0, 1, {1: (0,) * 8}) == 8
     ok = report(8, ok, "untwisted identity verified to height 4; simple "
                 "roots have multiplicity 8", time.monotonic() - start, 900.0)
     assert ok

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lattice_oracle as oracle
+import mult_oracle
 from superdenom.intlinalg import (Scaled, det, fractions, hnf,
                                   hnf_with_transform, left_kernel_basis,
                                   mat_inv, mat_mul, mat_vec, snf_invariants)
@@ -189,9 +190,9 @@ class TestLorentzian:
         self.lor = LorentzianLattice(self.f)
 
     def _norm(self, p):
-        """p^2 from the r* row of p: r*^2 - 2mn."""
-        row = self.lor.rows[p.rcoords]
-        return F(row.norm_scaled, self.lor.exponent) - 2 * p.m * p.n
+        """p^2 = r*^2 - 2mn, r*^2 = r*.A r* / D."""
+        return F(mult_oracle.norm_scaled(self.f, p.rcoords),
+                 self.lor.exponent) - 2 * p.m * p.n
 
     def test_norm_and_height(self):
         zero = (0,) * self.f.rank
@@ -199,12 +200,13 @@ class TestLorentzian:
         assert self._norm(p) == -12 and p.height == 5
 
     def test_pairing_divisor_and_divide(self):
+        """The tests' point adapters: gcd((p, L), N) and p / t."""
         zero = (0,) * self.f.rank
         p = LorentzianPoint(zero, 3, 6)
-        assert self.lor.pairing_divisor(p) == 3
-        assert p.divide(3) == LorentzianPoint(zero, 1, 2)
+        assert mult_oracle.signature(TwistClass(3), p)[1] == 3
+        assert mult_oracle.divide(p, 3) == LorentzianPoint(zero, 1, 2)
         with pytest.raises(ValueError):
-            p.divide(2)
+            mult_oracle.divide(p, 2)
 
     def test_cone_enum_predicate(self):
         pts = self.lor.positive_cone_enum(4)
@@ -230,7 +232,7 @@ class TestLorentzian:
         seen = set()
         for p, kmax in iso:
             assert self._norm(p) == 0
-            assert self.lor.pairing_divisor(p) == 1
+            assert gcd(p.m, p.n, *p.rcoords) == 1
             assert self.lor.in_lattice(p)
             assert kmax == 4 // p.height
             assert p not in seen
@@ -240,14 +242,13 @@ class TestLorentzian:
         # a vector of 3L* that is not in 3L
         dual = self.f.dual()
         cands = [c for c in enumerate_coset(dual, None, F(4, 3))
-                 if F(self.lor.rows[tuple(c)].norm_scaled,
-                      self.lor.exponent) == F(4, 3)]
+                 if self._norm(LorentzianPoint(tuple(c), 0, 0)) == F(4, 3)]
         beta = LorentzianPoint(tuple(cands[0]), 1, 1)
         alpha = beta.multiply(3)
         assert not self.lor.in_lattice(beta)
         assert self.lor.in_lattice(alpha)
-        assert self.lor.pairing_divisor(alpha) % 3 == 0
-        assert not self.lor.in_lattice(alpha.divide(3))
+        assert gcd(alpha.m, alpha.n, *alpha.rcoords) % 3 == 0
+        assert not self.lor.in_lattice(mult_oracle.divide(alpha, 3))
 
 
 # ----------------------------------------------------------------------
@@ -333,8 +334,8 @@ class TestIntegerCoreOracles:
             inside = _ref_in_lattice(g, p)
             members += inside
             assert lor.in_lattice(p) == inside, p
-            assert F(lor.rows[p.rcoords].norm_scaled, lor.exponent) == \
-                _ref_rstar_norm(g, p.rcoords), p
+        for ns, coords in lor.cone_duals(height):
+            assert F(ns, lor.exponent) == _ref_rstar_norm(g, coords), coords
         # both answers occur off order 1
         assert members == len(points) if order == 1 \
             else 0 < members < len(points)

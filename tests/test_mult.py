@@ -10,17 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mult_oracle
+from mult_oracle import closed_at, theorem1_at, trace_at
 from superdenom import mult
 from superdenom.arith import divisors, mobius
 from superdenom.denom import verify_identity
 from superdenom.etaq import trace_gfs
 from superdenom.intlinalg import Scaled
-from superdenom.lattices import LorentzianPoint, enumerate_coset
+from superdenom.lattices import (LorentzianLattice, LorentzianPoint,
+                                 enumerate_coset)
 from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity,
                              TheoremClosedFormMismatch, TwistClass,
                              UnsupportedTwistOrder, build_mult_table,
-                             mult_closed, mult_theorem1, simple_root_mult,
-                             trace_term)
+                             mult_theorem1, simple_root_mult, trace_term)
 from superdenom.octonion import mat_identity8
 from superdenom.series import QSeries
 
@@ -28,17 +29,21 @@ F = Fraction
 
 
 def _norm(tc, p):
-    """p^2 from the r* row of p: r*^2 - 2mn."""
-    lor = tc.lorentzian
-    return F(lor.rows[p.rcoords].norm_scaled, lor.exponent) - 2 * p.m * p.n
+    """p^2 = r*^2 - 2mn, r*^2 = D r*^2 / D."""
+    return F(mult_oracle.norm_scaled(tc.fixed, p.rcoords),
+             tc.lorentzian.exponent) - 2 * p.m * p.n
+
+
+def _pairing_divisor(p):
+    return gcd(p.m, p.n, *p.rcoords)
 
 
 def _dual_point(tc, norm):
     """(r*; 1, 1) for the first vector r* of the fixed dual of that norm."""
-    lor = tc.lorentzian
+    D = tc.lorentzian.exponent
     return next(LorentzianPoint(tuple(c), 1, 1)
-                for c in enumerate_coset(lor.dual, None, norm)
-                if F(lor.rows[tuple(c)].norm_scaled, lor.exponent) == norm)
+                for c in enumerate_coset(tc.lorentzian.dual, None, norm)
+                if F(mult_oracle.norm_scaled(tc.fixed, c), D) == norm)
 
 
 @pytest.fixture(scope="module")
@@ -118,10 +123,9 @@ class TestConstruction:
         assert verify_identity(7, 8, tc=tc).passed
         assert tc._gf_dim is None
         monkeypatch.undo()
-        # (0; 0, 7) has norm 0: its dimension is read at q^{1/2}
-        point = LorentzianPoint(_zero(tc), 0, 7)
-        label = tc.lorentzian.rows[point.rcoords].label
-        assert trace_term(tc, 7, point) == \
+        # (0; 0, 7) has norm 0: its dimension is read at q^{1/2} = q^{D/2D}
+        label = tc.disc.coset_label(_zero(tc))
+        assert trace_term(tc, 7, tc.lorentzian.exponent, label) == \
             tc.gf_dim_by_coset[label].coeff(F(1, 2))
 
     def test_dimension_series_grow_before_first_read(self):
@@ -177,60 +181,60 @@ class TestConstruction:
 class TestTraceTerm:
     def test_trace_on_lattice_norm_minus2(self, tc3, tc7):
         a3 = LorentzianPoint(_zero(tc3), 1, 1)
-        assert trace_term(tc3, 1, a3) == 8  # c3(1)
+        assert trace_at(tc3, 1, a3) == 8  # c3(1)
         a7 = LorentzianPoint(_zero(tc7), 1, 1)
-        assert trace_term(tc7, 1, a7) == 2  # c7(1)
+        assert trace_at(tc7, 1, a7) == 2  # c7(1)
 
     def test_trace_vanishes_off_lattice(self, tc3):
         beta = _dual_point(tc3, F(4, 3))
         assert not tc3.lorentzian.in_lattice(beta)
-        assert trace_term(tc3, 1, beta) == 0
+        assert trace_at(tc3, 1, beta) == 0
 
     def test_dimension_term_off_lattice(self, tc3):
         """dim at a dual point of norm -2/3: 3 minimal coset vectors times
         the oscillator count 8 gives 24."""
         beta = _dual_point(tc3, F(4, 3))
-        assert trace_term(tc3, 3, beta) == 24
+        assert trace_at(tc3, 3, beta) == 24
 
     def test_dimension_term_untwisted(self, tc1):
         a = LorentzianPoint(_zero(tc1), 1, 1)
-        assert trace_term(tc1, 1, a) == 128  # fake_c(1)
+        assert trace_at(tc1, 1, a) == 128  # fake_c(1)
 
 
 class TestMultTheorem1:
     def test_single_term_case(self, tc3):
         a = LorentzianPoint(_zero(tc3), 1, 1)  # norm -2, not in 3L*
-        assert mult_theorem1(tc3, a) == 8
+        assert theorem1_at(tc3, a) == 8
 
     def test_three_term_case(self, tc3):
         """alpha in 3L* minus 3L with norm -6: c3(3) + c3(1) = 72 + 8."""
         beta = _dual_point(tc3, F(4, 3))
         alpha = beta.multiply(3)
-        assert tc3.lorentzian.pairing_divisor(alpha) % 3 == 0
-        assert not tc3.lorentzian.in_lattice(alpha.divide(3))
-        assert mult_theorem1(tc3, alpha) == 80
+        assert _pairing_divisor(alpha) % 3 == 0
+        assert not tc3.lorentzian.in_lattice(mult_oracle.divide(alpha, 3))
+        assert theorem1_at(tc3, alpha) == 80
 
     def test_untwisted_simple_root(self, tc1):
         iso = LorentzianPoint(_zero(tc1), 1, 0)
-        assert mult_theorem1(tc1, iso) == 8
+        assert theorem1_at(tc1, iso) == 8
 
     def test_parities_agree(self, tc3):
         for p in tc3.lorentzian.positive_cone_enum(3):
-            assert mult_theorem1(tc3, p, "even") == \
-                mult_theorem1(tc3, p, "odd")
+            assert theorem1_at(tc3, p, "even") == \
+                theorem1_at(tc3, p, "odd")
 
 
 class TestMultClosed:
     def test_off_lattice_is_zero(self, tc3):
         beta = _dual_point(tc3, F(4, 3))
-        assert mult_closed(tc3, beta) == (0, 0)
+        assert closed_at(tc3, beta) == (0, 0)
 
     def test_on_lattice_values(self, tc3, tc7):
         a = LorentzianPoint(_zero(tc3), 1, 2)  # norm -4
-        assert mult_closed(tc3, a) == (24, 24)
+        assert closed_at(tc3, a) == (24, 24)
         b = LorentzianPoint(_zero(tc7), 1, 7)  # norm -14, in 7L*? no
-        assert tc7.lorentzian.pairing_divisor(b) % 7 != 0
-        assert mult_closed(tc7, b) == (tc7.c_coeff(7), tc7.c_coeff(7))
+        assert _pairing_divisor(b) % 7 != 0
+        assert closed_at(tc7, b) == (tc7.c_coeff(7), tc7.c_coeff(7))
 
     def test_n_dual_extra_term_formula(self, tc7):
         """The extra-term arithmetic c7(7) + c7(1) = 66 + 2 = 68."""
@@ -245,11 +249,11 @@ class TestMultClosed:
         assert _norm(tc7, beta) == F(-12, 7)
         alpha = beta.multiply(7)
         assert _norm(tc7, alpha) == -84
-        assert tc7.lorentzian.pairing_divisor(alpha) % 7 == 0
+        assert _pairing_divisor(alpha) % 7 == 0
         expected = tc7.c_coeff(42) + tc7.c_coeff(6)
         assert tc7.c_coeff(6) == 40
-        assert mult_closed(tc7, alpha) == (expected, expected)
-        assert mult_theorem1(tc7, alpha) == expected
+        assert closed_at(tc7, alpha) == (expected, expected)
+        assert theorem1_at(tc7, alpha) == expected
 
     def test_no_norm_minus14_point_on_7dual(self, tc7):
         """Directly confirm the class obstruction: beta^2 = -2/7 has no
@@ -260,7 +264,7 @@ class TestMultClosed:
 
     def test_untwisted(self, tc1):
         a = LorentzianPoint(_zero(tc1), 2, 2)  # norm -8
-        assert mult_closed(tc1, a) == (42112, 42112)
+        assert closed_at(tc1, a) == (42112, 42112)
 
 
 class TestSimpleRoots:
@@ -339,19 +343,27 @@ class TestTableBySignature:
 
     def test_formulas_run_once_per_signature(self, monkeypatch):
         """91 signatures among 24,435 points at order 3, height 6: two
-        mult_theorem1 calls (even and odd) per signature."""
+        mult_theorem1 calls (even and odd) per signature (x, c, labels)."""
         calls = []
         inner = mult.mult_theorem1
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return inner(*args, **kwargs)
+        def counted(tc, x, c, labels, *args, **kwargs):
+            calls.append((x, c, tuple(labels.items())))
+            return inner(tc, x, c, labels, *args, **kwargs)
 
         monkeypatch.setattr(mult, "mult_theorem1", counted)
         table = build_mult_table(TwistClass(3), 6)
         assert len(table) == 24435
         assert len(calls) == 182
         assert len(set(calls)) == 91
+
+    def test_no_membership_test_per_signature(self, tc3, monkeypatch):
+        """The formulas read membership off the coset label of r*: the
+        table tests no point for membership."""
+        def refuse(*args):
+            raise AssertionError("membership test of a point")
+        monkeypatch.setattr(LorentzianLattice, "in_lattice", refuse)
+        assert len(build_mult_table(tc3, 6)) == 24435
 
 
 # ----------------------------------------------------------------------
@@ -395,7 +407,7 @@ def _ref_theorem1(tc, alpha, parity):
             mu = mobius(s)
             if mu:
                 total += F(mu, d * s) * _ref_trace_term(
-                    tc, d, alpha.divide(d * s), parity)
+                    tc, d, mult_oracle.divide(alpha, d * s), parity)
     assert total.denominator == 1, alpha
     return total
 
@@ -423,14 +435,16 @@ class TestIntegerKernelOracle:
         tc = {1: tc1, 3: tc3, 7: tc7}[order]
         points = tc.lorentzian.positive_cone_enum(height)
         assert points
+        D = tc.lorentzian.exponent
         for p in points:
+            x, c, labels = mult_oracle.signature(tc, p)
             for parity in ("even", "odd"):
-                got = mult_theorem1(tc, p, parity)
+                got = mult_theorem1(tc, x, c, labels, parity)
                 assert type(got) is int
                 assert got == _ref_theorem1(tc, p, parity), (p, parity)
-                assert trace_term(tc, 1, p, parity) == \
+                assert trace_term(tc, 1, D + x, labels[1], parity) == \
                     _ref_trace_term(tc, 1, p, parity), (p, parity)
-            got = mult_closed(tc, p)
+            got = closed_at(tc, p)
             assert all(type(v) is int for v in got)
             assert got == _ref_closed(tc, p), p
 
@@ -461,7 +475,7 @@ class TestNegativeControls:
         """(0; 0, 3) is the first point with 3 | (alpha, L); its d = 3 term
         reads the dimension at (0; 0, 1), q^{1/2}, with weight 1/3."""
         tc = TwistClass(3)
-        label = tc.lorentzian.rows[_zero(tc)].label
+        label = tc.disc.coset_label(_zero(tc))
         monkeypatch.setitem(tc.gf_dim_by_coset, label,
                             _bumped(tc.gf_dim_by_coset[label], F(1, 2), by))
         point = LorentzianPoint(_zero(tc), 0, 3)
