@@ -412,17 +412,20 @@ READS = {
 
 
 def validate(cfg):
-    if cfg.command in ("verify", "table") and cfg.order not in (1, 3, 7):
-        raise UsageError(f"unsupported twist order {cfg.order}")
-    if cfg.jobs < 1:
-        raise UsageError("jobs must be at least 1")
-    if cfg.prec < 1 or cfg.height < 0:
-        raise UsageError("precision and height must be positive")
+    """Check the values of the options the subcommand reads; a config value
+    for any other option is accepted, so one file serves several."""
     command, what = _what(cfg)
+    reads = READS[command, what]
+    if "order" in reads and cfg.order not in (1, 3, 7):
+        raise UsageError(f"unsupported twist order {cfg.order}")
+    if "jobs" in reads and cfg.jobs < 1:
+        raise UsageError("jobs must be at least 1")
+    if "prec" in reads and cfg.prec < 1:
+        raise UsageError("precision must be positive")
     # every subcommand that reads the height lists nothing below height 1
-    if "height" in READS[command, what] and cfg.height < 1:
+    if "height" in reads and cfg.height < 1:
         raise UsageError(f"{command} {what} needs height at least 1")
-    if cfg.max_norm is not None and cfg.max_norm < 0:
+    if "max_norm" in reads and cfg.max_norm is not None and cfg.max_norm < 0:
         raise UsageError("max-norm must be nonnegative")
 
 

@@ -27,9 +27,9 @@ quarter m <= t // 2, packed r* >= 0 of each bucket t, which holds one key
 of every orbit, after checking the inputs that make L invariant
 (log_derivative_quarters), and F comes back from it by Miller's recurrence
 t F_t = sum_j L_j F_(t-j), summed on the quarters, each exact quotient
-written at its images.  exponential checks a whole L for the invariance
-and runs the same core.  The sum side reads the same buckets at q = 2mn.
-All coefficients are exact integers.
+written at its images (_exp_of_quarters, entered only through
+product_side).  The sum side reads the same buckets at q = 2mn.  All
+coefficients are exact integers.
 
 The factor list over the cone of L* (_factor_list) and the factor-by-factor
 in-place accumulator (expand_factor, mul_factor, mul_series) are not on the
@@ -221,46 +221,6 @@ class LatticeSeries:
 # ----------------------------------------------------------------------
 # the exponential
 
-def _quarter(t: int, bucket: dict, unit: int, bits: int) -> dict:
-    """The keys of bucket t of L with m <= t // 2 and packed r* >= 0, and
-    their values; ValueError unless the bucket is invariant under r* -> -r*
-    and m <-> n.
-
-    Every orbit of the two mirrors has exactly one key in the quarter, so
-    the bucket is invariant exactly when each quarter key's images carry
-    its value and the orbits of the quarter account for every key.  The
-    images of k = m unit + r* are 2 m unit - k (r* -> -r*), t unit - k
-    (both) and t unit - 2 m unit + k (m <-> n).
-    """
-    half, tu, b1 = unit >> 1, t * unit, bits + 1
-    # a key is below bound exactly when its m is at most t // 2, and its
-    # packed r* is >= 0 exactly when bit bits - 1 of the key is clear
-    bound = (t // 2 + 1) * unit - half
-    quarter = {k: v for k, v in bucket.items() if k < bound and not k & half}
-    size = 0
-    try:
-        for k, v in quarter.items():
-            m = k >> bits
-            if 2 * m == t:  # m <-> n fixes the row: its keys' images agree
-                rk = tu - k
-                if bucket[rk] != v:
-                    break
-                size += 1 if rk == k else 2
-            else:
-                rk = (m << b1) - k
-                if bucket[rk] != v or bucket[tu - k] != v \
-                        or bucket[tu - rk] != v:
-                    break
-                size += 2 if rk == k else 4
-        else:
-            if size == len(bucket):
-                return quarter
-    except KeyError:
-        pass
-    raise ValueError(
-        f"L is not invariant under r* -> -r* and m <-> n at height {t}")
-
-
 def _unfold(t: int, quarter, values: dict, unit: int, bits: int):
     """Bucket t, invariant under both mirrors, from the keys of its quarter
     and a dict holding their values, as (keys, values, m_lo, starts), or
@@ -296,16 +256,6 @@ def _unfold(t: int, quarter, values: dict, unit: int, bits: int):
         vals += rv
         starts.append(len(keys))
     return keys, vals, m_lo, starts
-
-
-def exponential(L: LatticeSeries) -> LatticeSeries:
-    """The series F with F_0 = 1 and theta log F = L (L's bucket 0 unread).
-    L must be invariant under r* -> -r* and m <-> n (ValueError
-    otherwise)."""
-    bits = _DIGIT_BITS * L.rank
-    quarters = [None] + [_quarter(t, L.buckets[t], 1 << bits, bits)
-                         for t in range(1, L.max_height + 1)]
-    return _exp_of_quarters(quarters, L.rank)
 
 
 def _exp_of_quarters(quarters: list, rank: int) -> LatticeSeries:

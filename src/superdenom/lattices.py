@@ -23,22 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd, isqrt, lcm
 from operator import add, mul
 
 # mat_vec is not called here; the benchmark's tracer patches the name
-from .intlinalg import (Scaled, det, fractions, hnf, left_kernel_basis,
-                        mat_inv, mat_mul, mat_vec, reduced, scaled,
-                        snf_invariants)
+from .intlinalg import (Scaled, det, fractions, hnf, hnf_with_transform,
+                        left_kernel_basis, mat_inv, mat_mul, mat_vec, reduced,
+                        scaled, snf_invariants)
 from .series import QSeries
 
 
 class SingularGram(ArithmeticError):
     """Dual of a degenerate lattice requested."""
-
-
-class SearchExhausted(RuntimeError):
-    """A bounded search failed to find a required vector."""
 
 
 def _dot(u, v):
@@ -213,6 +210,11 @@ class DiscriminantGroup:
                 for i in range(piv, len(v)):
                     v[i] -= q * row[i]
         return tuple(v)
+
+    def labels(self) -> list[tuple[int, ...]]:
+        """Every canonical label, ascending: the box 0 <= v_i < d_i over the
+        Hermite diagonal d_i that coset_label reduces by."""
+        return list(product(*(range(row[piv]) for piv, row in self._pivots)))
 
 
 # ----------------------------------------------------------------------
@@ -486,28 +488,26 @@ def build_coset_shift_table(fixed: IntegralLattice,
                             disc: DiscriminantGroup):
     """For each coset of fixed*/fixed, a complement shift r-perp.
 
-    Finds container vectors x with projection onto span(fixed) in the coset,
-    and records x - proj(x); the result depends only on the coset.  The
-    projection of x = sum_i c_i b_i has dual coordinates c.W, W the integer
-    pairings of the container basis with the fixed basis.
+    A container vector x = sum_i c_i b_i projects onto span(fixed) with dual
+    coordinates c.W, W the integer pairings of the container basis with the
+    fixed basis, and x - proj(x) depends only on the coset of c.W.  With
+    U W = H the Hermite form, c -> c.W reaches every dual coordinate vector
+    exactly when the nonzero rows of H are the identity (the container is
+    unimodular and the fixed lattice primitive in it; ValueError otherwise),
+    and then c = v.U, U cut to its first rank rows, solves c.W = v for each
+    canonical label v.
     """
-    dual = fixed.dual()
-    w = _pairings(container, fixed)
-    cols = list(zip(*w))
+    h, u = hnf_with_transform(_pairings(container, fixed))
+    rank = fixed.rank
+    if h[:rank] != [[int(i == j) for j in range(rank)] for i in range(rank)]:
+        raise ValueError("projection does not reach every coset: the fixed "
+                         "lattice is not primitive in a unimodular container")
+    dual, cols = fixed.dual(), list(zip(*u[:rank]))
     table: dict[tuple, tuple] = {}
-    bound = 2
-    for _ in range(8):
-        for coords in enumerate_coset(container, None, bound):
-            p = tuple(_dot(coords, col) for col in cols)
-            lab = disc.coset_label(p)
-            if lab not in table:
-                x = container.vector(coords)
-                proj = dual.vector(p)
-                table[lab] = tuple(a - b for a, b in zip(x, proj))
-                if len(table) == disc.order:
-                    return table
-        bound *= 2
-    raise SearchExhausted("projection did not reach every discriminant coset")
+    for lab in disc.labels():
+        x = container.vector([_dot(lab, col) for col in cols])
+        table[lab] = tuple(a - b for a, b in zip(x, dual.vector(lab)))
+    return table
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,10 @@
   t F_t = sum_j L_j F_(t-j) over every key of every bucket, each product
   summed from the smaller of its two buckets.  It reads any L, symmetric
   or not.
+- quarters: the quarter of each bucket of a whole L that the mirror-quarter
+  kernel denom._exp_of_quarters reads, after asserting key by key that L is
+  invariant under r* -> -r* and m <-> n; the tests reach the kernel with a
+  whole L through it.
 - log_derivative: L = theta log F of a factor list, one factor at a time.
 - lattice_log_derivative: L = theta log F from the lattice vectors in
   every mirror image, as the verifier built it before it wrote only the
@@ -12,8 +16,9 @@
 - accumulated_product: F of a factor list by series products, one factor
   at a time into an in-place accumulator, with no exp or log.
 
-Nothing in the package uses this module; tests compare denom.exponential,
-denom.log_derivative_quarters and the verifier's product side with it.
+Nothing in the package uses this module; tests compare
+denom.log_derivative_quarters, the mirror-quarter kernel and the verifier's
+product side with it.
 """
 
 from __future__ import annotations
@@ -58,6 +63,28 @@ def exponential(L: LatticeSeries) -> LatticeSeries:
                     f"at height {t}")
             bucket[code] = q
     return F
+
+
+def quarters(L: LatticeSeries) -> list:
+    """quarters[t] maps the keys of bucket t >= 1 of L with m <= t // 2
+    and packed r* >= 0 to their values (quarters[0] is empty: bucket 0 is
+    unread), after asserting that every key's images under r* -> -r*,
+    m <-> n and both carry its value."""
+    unit = L.pack((0,) * L.rank, 1)
+    out = [{}]
+    for t in range(1, L.max_height + 1):
+        bucket, quarter = L.buckets[t], {}
+        for k, v in bucket.items():
+            m, r = L.split(k)
+            for image in (2 * m * unit - k, (t - 2 * m) * unit + k,
+                          t * unit - k):
+                assert bucket.get(image) == v, \
+                    f"L is not invariant under r* -> -r* and m <-> n at " \
+                    f"height {t}"
+            if 2 * m <= t and r >= 0:
+                quarter[k] = v
+        out.append(quarter)
+    return out
 
 
 def log_derivative(factors, max_height: int, rank: int) -> LatticeSeries:

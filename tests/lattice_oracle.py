@@ -1,11 +1,13 @@
 """The lattice and spin-matrix set-up as it was before the scaled-integer
 rewrite, kept as the tests' oracle: IntegralLattice with Fraction basis,
 Gram and Gauss-Jordan inverse, the Fraction Fincke-Pohst completion and
-enumeration, E8, the fixed sublattice, its complement and the coset shift
-table, and the Fraction spin matrices, power traces and cycle shapes
-(validated by a Fraction characteristic polynomial); also Smith invariants
-from determinantal divisors.  Nothing in the package uses this module;
-tests compare the integer set-up with it.
+enumeration, E8, the fixed sublattice, its complement, and the Fraction spin
+matrices, power traces and cycle shapes (validated by a Fraction
+characteristic polynomial); also Smith invariants from determinantal
+divisors.  The coset shift table here is the doubling search over E8 that
+the package's one Hermite solve replaced; the two pick different shifts of
+one coset, so same_shifts compares them modulo the complement.  Nothing in
+the package uses this module; tests compare the integer set-up with it.
 """
 
 from __future__ import annotations
@@ -19,14 +21,17 @@ from superdenom.arith import divisors, mobius
 from superdenom.etaq import CycleShape
 from superdenom.intlinalg import (fractions, hnf, left_kernel_basis,
                                   mat_mul, mat_vec)
-from superdenom.lattices import (DiscriminantGroup, SearchExhausted,
-                                 SingularGram)
+from superdenom.lattices import DiscriminantGroup, SingularGram
 from superdenom.octonion import (NotProductOfCyclotomicBlocks,
                                  OrderExceedsCap, _composite, _exact,
                                  bi_mult_matrix, left_mult_matrix,
                                  mat_identity8, mat_mul8, mat_trace8,
                                  right_mult_matrix)
 from superdenom.series import QSeries
+
+
+class SearchExhausted(RuntimeError):
+    """A bounded search failed to find a required vector."""
 
 
 def coords_of(lattice, v):
@@ -438,6 +443,22 @@ def build_coset_shift_table(fixed: IntegralLattice,
                     return table
         bound *= 2
     raise SearchExhausted("projection did not reach every discriminant coset")
+
+
+def same_shifts(table, ref, fixed, container, complement):
+    """Assert that two shift tables agree modulo the complement: the same
+    labels, and at each label a shift orthogonal to the fixed basis, which
+    the label's dual vector lifts into the container, and which differs
+    from the reference shift by a complement vector."""
+    assert table.keys() == ref.keys()
+    dual = fixed.dual()
+    for lab, shift in table.items():
+        diff = [a - b for a, b in zip(shift, ref[lab])]
+        assert not any(diff) or all(
+            x.denominator == 1 for x in coords_of(complement, diff))
+        assert all(_dot(b, shift) == 0 for b in fixed.basis)
+        lift = [a + b for a, b in zip(shift, dual.vector(lab))]
+        assert all(x.denominator == 1 for x in coords_of(container, lift))
 
 
 # ----------------------------------------------------------------------

@@ -130,6 +130,24 @@ class TestUnreadFlags:
         assert code == 0
         assert report["params"]["height"] == "99"
 
+    @pytest.mark.parametrize("key,unread,reads", [
+        ("jobs = 0", "verify spin --order 3", "verify denominator"),
+        ("prec = 0", "verify spin --order 3", "verify susy"),
+        ("max-norm = -1", "verify susy --prec 5", "table mult"),
+        ("height = -3", "dump c3 --prec 3", "table simple_roots"),
+        ("order = 5", "dump c3 --prec 3", "verify lattice"),
+    ], ids=["jobs", "prec", "max-norm", "height", "order"])
+    def test_config_value_checked_only_where_read(self, capsys, tmp_path,
+                                                  key, unread, reads):
+        """An invalid config value for an option the subcommand does not
+        read is accepted; a subcommand that reads it exits 2."""
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text(key + "\n")
+        code, _, err = run(capsys, *unread.split(), "--config", str(cfgfile))
+        assert (code, err) == (0, "")
+        code, out, err = run(capsys, *reads.split(), "--config", str(cfgfile))
+        assert (code, out) == (2, "") and "error:" in err
+
 
 class TestThetaStretch:
     @pytest.mark.parametrize("order", [3, 7])
@@ -280,7 +298,9 @@ class TestConfigAndOut:
         "order = 3\norder = 7\n",
         "colour = blue\n",
         "format = xml\n",
-    ], ids=["non-integer", "duplicate-key", "unknown-key", "bad-choice"])
+        "jobs = abc\n",
+    ], ids=["non-integer", "duplicate-key", "unknown-key", "bad-choice",
+            "non-integer-unread"])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, text):
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text(text)

@@ -12,7 +12,7 @@ import denom_oracle as oracle
 import superdenom.denom as dn
 from denom_oracle import accumulated_product, log_derivative
 from superdenom import lattices
-from superdenom.denom import (LatticeSeries, expand_factor, exponential,
+from superdenom.denom import (LatticeSeries, expand_factor,
                               factor_coefficients, lattice_vectors,
                               log_derivative_quarters, product_side,
                               sum_side, verify_identity)
@@ -44,10 +44,16 @@ def _product(tc, height):
     return product_side(tc, height, _vectors(tc, height))[0]
 
 
+def _exp(L):
+    """The mirror-quarter kernel on a whole L, through the oracle's key by
+    key check that L is invariant under both mirrors."""
+    return dn._exp_of_quarters(oracle.quarters(L), L.rank)
+
+
 def _expand(factors, height, rank):
     """The product of a factor list, as the exponential of its log
     derivative."""
-    return exponential(log_derivative(factors, height, rank))
+    return _exp(log_derivative(factors, height, rank))
 
 
 class TestFactorCoefficients:
@@ -311,7 +317,7 @@ class TestExpOfLogDerivative:
         rank, H, factors = case
         factors = _mirrored(factors)
         L = log_derivative(factors, H, rank)
-        new = exponential(L)
+        new = _exp(L)
         assert new.items() == oracle.exponential(L).items()
         ref = accumulated_product(factors, H, rank, jobs)
         assert new.items() == ref.items()
@@ -322,9 +328,9 @@ class TestExpOfLogDerivative:
     def test_verifier_product_matches_oracle(self, order, height,
                                              tc1, tc3, tc7):
         tc = {1: tc1, 3: tc3, 7: tc7}[order]
-        L, _ = oracle.lattice_log_derivative(tc, _vectors(tc, height),
-                                             height)
-        new = exponential(L)
+        vectors = _vectors(tc, height)
+        L, _ = oracle.lattice_log_derivative(tc, vectors, height)
+        new = product_side(tc, height, vectors)[0]
         assert new.buckets == oracle.exponential(L).buckets
         assert new.term_count() > height
 
@@ -333,7 +339,7 @@ class TestExpOfLogDerivative:
         factors = _mirrored([(LorentzianPoint((2, -1), -1, 2), 1, 2),
                              (LorentzianPoint((0, 1), 3, -1), 2, 0)])
         L = log_derivative(factors, 6, 2)
-        assert exponential(L) == oracle.exponential(L)
+        assert _exp(L) == oracle.exponential(L)
 
     @pytest.mark.parametrize("order,height", [(1, 3), (3, 6), (7, 12)])
     def test_matches_at_real_sizes(self, order, height, tc1, tc3, tc7):
@@ -358,38 +364,7 @@ class TestExpOfLogDerivative:
         L = LatticeSeries(2, 1)
         L.buckets[1][L.pack((0,), 1)] = L.buckets[1][L.pack((0,), 0)] = 1
         with pytest.raises(ArithmeticError, match="height 2"):
-            exponential(L)
-
-    @staticmethod
-    def _series(rank, height, terms):
-        L = LatticeSeries(height, rank)
-        for key, c in terms:
-            L.add_term(key, c)
-        return L
-
-    @pytest.mark.parametrize("terms", [
-        # e^(0; 1, 0) alone: its m <-> n image is missing
-        [(((0,), 1, 0), 1)],
-        # invariant under m <-> n only
-        [(((1,), 1, 1), 1)],
-        # invariant under r* -> -r* only
-        [(((1,), 2, 0), 1), (((-1,), 2, 0), 1)],
-        # every image of the quarter key (1; 0, 2) present, one with
-        # another value: under r* -> -r*, under both, under m <-> n
-        [(((1,), 0, 2), 1), (((-1,), 0, 2), 2), (((-1,), 2, 0), 1),
-         (((1,), 2, 0), 1)],
-        [(((1,), 0, 2), 1), (((-1,), 0, 2), 1), (((-1,), 2, 0), 2),
-         (((1,), 2, 0), 1)],
-        [(((1,), 0, 2), 1), (((-1,), 0, 2), 1), (((-1,), 2, 0), 1),
-         (((1,), 2, 0), 2)],
-        # an orbit whose quarter key (1; 0, 2) is missing: (-1; 2, 0) and
-        # (-1; 0, 2) beside the invariant (0; 1, 1), caught by the count
-        [(((0,), 1, 1), 3), (((-1,), 2, 0), 1), (((-1,), 0, 2), 1)],
-    ])
-    def test_asymmetric_log_derivative_raises(self, terms):
-        L = self._series(1, 2, terms)
-        with pytest.raises(ValueError, match="not invariant"):
-            exponential(L)
+            _exp(L)
 
     def test_invalid_factors_rejected(self):
         with pytest.raises(ValueError):
@@ -638,7 +613,7 @@ class TestPackedPipeline:
         L, count = oracle.lattice_log_derivative(tc, vectors, height)
         assert L.buckets == log_derivative(factors, height, rank).buckets
         assert count == len(factors)
-        assert dn._anisotropic_ok(exponential(L), vectors)
+        assert dn._anisotropic_ok(_exp(L), vectors)
         r = verify_identity(order, height, tc=tc)
         assert r.passed and r.factor_count == len(factors)
         # the split list counts c1 and c2 apart on N L*, theorem1 one
@@ -651,19 +626,15 @@ class TestPackedPipeline:
     @pytest.mark.parametrize("order,height", [(1, 4), (3, 9), (7, 26)])
     def test_quarters_match_full_builder(self, order, height, tc1, tc3, tc7):
         """At every height up to the given one, the quarter build equals
-        _quarter of the full-bucket builder, bucket by bucket, with the
+        the quarters of the full-bucket builder, bucket by bucket, with the
         same factor count."""
         tc = {1: tc1, 3: tc3, 7: tc7}[order]
         vectors = _vectors(tc, height)
-        bits = dn._DIGIT_BITS * tc.fixed.rank
         for H in range(1, height + 1):
             quarters, count = log_derivative_quarters(tc, vectors, H)
             L, ref_count = oracle.lattice_log_derivative(tc, vectors, H)
             assert count == ref_count
-            assert quarters[0] == {}
-            for t in range(1, H + 1):
-                assert quarters[t] == dn._quarter(t, L.buckets[t],
-                                                  1 << bits, bits), (H, t)
+            assert quarters == oracle.quarters(L), H
 
     def test_writes_a_quarter_of_the_keys(self, tc7):
         """Order 7, height 18: the build writes the 3,156 keys the
@@ -687,7 +658,7 @@ class TestPackedPipeline:
 
         def full():
             L, _ = oracle.lattice_log_derivative(tc, vectors, height)
-            return exponential(L)
+            return _exp(L)
 
         def quarter():
             return product_side(tc, height, vectors)[0]

@@ -511,11 +511,38 @@ class TestSetupOracles:
 
     @pytest.mark.parametrize("order", [1, 3, 7])
     def test_shift_table(self, twists, order):
+        """The Hermite solve against the Fraction search, label by label,
+        modulo the complement."""
         tc = twists[order]
         ref = _ref_shift_table(tc.fixed, tc.e8, tc.disc)
         assert len(ref) == tc.disc.order
-        assert tc.shift_table == ref
-        assert build_coset_shift_table(tc.fixed, tc.e8, tc.disc) == ref
+        oracle.same_shifts(tc.shift_table, ref, tc.fixed, tc.e8,
+                           tc.complement)
+        assert tc.shift_table == build_coset_shift_table(tc.fixed, tc.e8,
+                                                         tc.disc)
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_labels_are_the_canonical_cosets(self, twists, order):
+        """labels() lists, ascending, exactly the labels coset_label gives
+        a box of dual vectors that meets every coset, each its own label."""
+        disc = twists[order].disc
+        labels = disc.labels()
+        assert labels == sorted(labels) and len(labels) == disc.order
+        assert all(disc.coset_label(lab) == lab for lab in labels)
+        box = product(range(-order, order + 1), repeat=len(labels[0]))
+        assert {disc.coset_label(v) for v in box} == set(labels)
+
+    @pytest.mark.parametrize("order", [1, 3, 7])
+    def test_shift_table_needs_a_primitive_lattice(self, twists, order):
+        """2 fixed is not primitive in E8: its pairings with E8 reach only
+        even dual coordinates, and the solve refuses at once."""
+        tc = twists[order]
+        b = tc.fixed.scaled_basis
+        doubled = IntegralLattice(Scaled([[2 * x for x in row]
+                                          for row in b.rows], b.den))
+        with pytest.raises(ValueError, match="not primitive"):
+            build_coset_shift_table(doubled, tc.e8,
+                                    doubled.discriminant_group())
 
     @pytest.mark.parametrize("order", [1, 3, 7])
     def test_gram_inv(self, twists, order):
