@@ -12,7 +12,6 @@ in params.
 from __future__ import annotations
 
 import argparse
-import configparser
 import json
 import sys
 import time
@@ -282,14 +281,20 @@ COMMANDS = {"verify": run_verify, "table": run_table, "dump": run_dump}
 # argument handling
 
 def _read_config(path) -> dict:
+    """The file's entries by option dest; a file that cannot be read or
+    parsed raises UsageError naming it."""
+    import configparser  # only --config reads it: kept out of start-up
     cp = configparser.ConfigParser()
-    with open(path) as fh:
-        content = fh.read()
-    if not content.lstrip().startswith("["):
-        content = "[run]\n" + content
-    cp.read_string(content)
-    return {k.replace("-", "_"): v
-            for section in cp.sections() for k, v in cp.items(section)}
+    try:
+        with open(path) as fh:
+            content = fh.read()
+        if not content.lstrip().startswith("["):
+            content = "[run]\n" + content
+        cp.read_string(content)
+        return {k.replace("-", "_"): v
+                for section in cp.sections() for k, v in cp.items(section)}
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
 
 
 class _Store(argparse.Action):
@@ -347,7 +352,7 @@ def build_parser():
     common(st, "table")
 
     sd = sub.add_parser("dump", help="dump a named q-series")
-    sd.add_argument("series")
+    sd.add_argument("series", help=f"one of: {', '.join(SERIES_NAMES)}")
     common(sd, "dump", order=1)
     return p, sub.choices
 
@@ -366,8 +371,8 @@ def parse_args(argv) -> argparse.Namespace:
         sp = commands[args.command]
         try:
             config = _read_config(args.config)
-        except (OSError, UnicodeDecodeError, configparser.Error) as exc:
-            sp.error(f"config file {args.config}: {exc}")
+        except UsageError as exc:
+            sp.error(str(exc))
         options = {a.dest: a for a in sp._actions
                    if a.option_strings and a.dest not in ("help", "config")}
         unknown = sorted(config.keys() - options.keys())

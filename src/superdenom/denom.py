@@ -41,7 +41,7 @@ benchmark's tracer (perfbench/tracing.py) looks their names up.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 from math import comb, gcd
 from operator import itemgetter, mul
@@ -547,15 +547,13 @@ def sum_side(tc: TwistClass, max_height: int, vectors) -> LatticeSeries:
     return out
 
 
-@dataclass
-class IdentityReport:
-    order: int
-    max_height: int
-    factor_count: int
-    product_terms: int
-    status: str
-    first_discrepancy: tuple | None
-    anisotropic_ok: bool
+class IdentityReport(namedtuple("IdentityReport", (
+        "order max_height factor_count product_terms status "
+        "first_discrepancy anisotropic_ok"))):
+    """verify_identity's result; first_discrepancy is (key, expected, got)
+    at the least differing key, or None."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

@@ -10,7 +10,7 @@ collapse to integer-coefficient products, so no cyclotomic numbers appear:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -23,34 +23,34 @@ class InvalidClass(ValueError):
     """Coset norm class not realized by the requested lattice."""
 
 
-@dataclass(frozen=True)
-class EtaQuotient:
+class EtaQuotient(namedtuple("EtaQuotient", "factors")):
     """A finite product prod_k eta(q^k)^{e_k} with distinct scales."""
 
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        scales = [k for k, _ in self.factors]
+    def __new__(cls, factors: tuple[tuple[int, int], ...]):
+        scales = [k for k, _ in factors]
         if len(set(scales)) != len(scales) or any(k <= 0 for k in scales):
             raise ValueError("scales must be distinct positive integers")
+        return super().__new__(cls, factors)
 
     @property
     def leading_exponent(self) -> Fraction:
         return Fraction(sum(k * e for k, e in self.factors), 24)
 
 
-@dataclass(frozen=True)
-class CycleShape:
+class CycleShape(namedtuple("CycleShape", "cycles")):
     """Cycle shape a_1^{b_1}...a_k^{b_k} of an orthogonal map."""
 
-    cycles: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(a <= 0 or b <= 0 for a, b in self.cycles):
+    def __new__(cls, cycles: tuple[tuple[int, int], ...]):
+        if any(a <= 0 or b <= 0 for a, b in cycles):
             raise ValueError("cycle lengths and multiplicities must be positive")
-        lens = [a for a, _ in self.cycles]
+        lens = [a for a, _ in cycles]
         if len(set(lens)) != len(lens):
             raise ValueError("cycle lengths must be distinct")
+        return super().__new__(cls, cycles)
 
     @property
     def weight(self) -> int:

@@ -7,9 +7,9 @@ Fraction appears only in the readable form built by fractions().
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
 
 
 # ----------------------------------------------------------------------
@@ -96,11 +96,10 @@ def snf_invariants(a: list[list[int]]) -> list[int]:
 # ----------------------------------------------------------------------
 # rational matrices as int rows over one denominator
 
-class Scaled(NamedTuple):
+class Scaled(namedtuple("Scaled", "rows den")):
     """The rational matrix rows / den, rows ints and den > 0."""
 
-    rows: tuple
-    den: int
+    __slots__ = ()
 
 
 def reduced(rows, den: int) -> Scaled:

@@ -20,7 +20,7 @@ table per class of reduced centers, not one visit per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -179,14 +179,11 @@ class IntegralLattice:
                           for j, x in enumerate(q[i])] for i in range(n)], cd))
 
 
-@dataclass
 class DiscriminantGroup:
     """The quotient L*/L: invariant factors, order and coset labels."""
 
-    lattice: IntegralLattice
-    invariants: tuple[int, ...]
-
-    def __post_init__(self):
+    def __init__(self, lattice: IntegralLattice, invariants: tuple[int, ...]):
+        self.lattice, self.invariants = lattice, invariants
         self.order = 1
         for d in self.invariants:
             self.order *= d
@@ -195,6 +192,14 @@ class DiscriminantGroup:
         # left of its pivot
         self._pivots = [(next(i for i, x in enumerate(row) if x), row)
                         for row in (hnf(g) if g else [])]
+
+    def __eq__(self, other):
+        if type(other) is not DiscriminantGroup:
+            return NotImplemented
+        return (self.lattice, self.invariants) == (other.lattice,
+                                                   other.invariants)
+
+    __hash__ = None  # compared by value, so not hashed by identity
 
     def coset_label(self, dual_coords) -> tuple[int, ...]:
         """Canonical representative of a dual vector modulo the lattice.
@@ -513,13 +518,11 @@ def build_coset_shift_table(fixed: IntegralLattice,
 # ----------------------------------------------------------------------
 # Lorentzian points over L = fixed + II_{1,1}
 
-@dataclass(frozen=True, order=True)
-class LorentzianPoint:
-    """A point (r*; m, n) of L* = fixed* + II_{1,1}, r* in dual coordinates."""
+class LorentzianPoint(namedtuple("LorentzianPoint", "rcoords m n")):
+    """A point (r*; m, n) of L* = fixed* + II_{1,1}, r* in dual coordinates;
+    equal, hashed and ordered as the tuple (r*, m, n)."""
 
-    rcoords: tuple[int, ...]
-    m: int
-    n: int
+    __slots__ = ()
 
     @property
     def height(self) -> int:

@@ -17,7 +17,7 @@ Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -138,17 +138,17 @@ def bi_mult_matrix(b: Octonion):
 # ----------------------------------------------------------------------
 # spin elements
 
-@dataclass(frozen=True)
-class SpinElement:
+class SpinElement(namedtuple("SpinElement", "factors")):
     """A product of Clifford factors 1b_1 ... 1b_n (n even, N(b_i) > 0)."""
 
-    factors: tuple[Octonion, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.factors) % 2 != 0:
+    def __new__(cls, factors: tuple[Octonion, ...]):
+        if len(factors) % 2 != 0:
             raise ValueError("spin elements need an even number of factors")
-        if any(oct_norm(b) <= 0 for b in self.factors):
+        if any(oct_norm(b) <= 0 for b in factors):
             raise ValueError("factors must have positive norm")
+        return super().__new__(cls, factors)
 
     def norm_product(self) -> Fraction:
         p = Fraction(1)

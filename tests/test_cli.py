@@ -3,11 +3,14 @@
 import argparse
 import json
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from superdenom.cli import READS, build_parser, canonical_json, main
-from superdenom.etaq import named_series
+from superdenom.etaq import SERIES_NAMES, named_series
 
 
 def run(capsys, *argv):
@@ -243,6 +246,12 @@ class TestDump:
         assert payload["terms"] == [list(p) for p in
                                     named_series("a1", 3).to_pairs()]
 
+    def test_help_names_every_series(self, capsys):
+        code, out, _ = run(capsys, "dump", "--help")
+        assert code == 0
+        line = re.search(r"^  series +one of: (.*)$", out, re.M)
+        assert line and line.group(1).split(", ") == list(SERIES_NAMES)
+
     def test_csv_dump_header(self, capsys):
         code, out, _ = run(capsys, "dump", "a7", "--prec", "3",
                            "--format", "csv")
@@ -293,21 +302,31 @@ class TestConfigAndOut:
                            "--config", str(tmp_path / "absent.ini"))
         assert code == 2 and "error:" in err
 
-    @pytest.mark.parametrize("text", [
-        "order = abc\n",
-        "order = 3\norder = 7\n",
-        "colour = blue\n",
-        "format = xml\n",
-        "jobs = abc\n",
+    @pytest.mark.parametrize("content,message", [
+        (b"order = abc\n", None),
+        (b"order = 3\norder = 7\n", None),
+        (b"colour = blue\n", None),
+        (b"format = xml\n", None),
+        (b"jobs = abc\n", None),
+        # the file is read in the locale's encoding, UTF-8 here
+        (b"order = 3\n\xff\n", "'utf-8' codec can't decode byte 0xff in "
+                                "position 10: invalid start byte"),
+        # line 3: the reader puts a [run] header above a bare file
+        (b"order = 3\norder 7\n", "Source contains parsing errors: "
+                                  "'<string>'\n\t[line  3]: 'order 7\\n'"),
     ], ids=["non-integer", "duplicate-key", "unknown-key", "bad-choice",
-            "non-integer-unread"])
-    def test_bad_config_is_usage_error(self, capsys, tmp_path, text):
+            "non-integer-unread", "not-utf8", "no-equals"])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, content,
+                                       message):
         cfgfile = tmp_path / "run.ini"
-        cfgfile.write_text(text)
+        cfgfile.write_bytes(content)
         code, out, err = run(capsys, "verify", "lattice",
                              "--config", str(cfgfile))
         assert code == 2 and out == ""
         assert "error:" in err and "usage:" in err
+        if message is not None:
+            assert err.endswith(f"\nsuperdenom verify: error: config file "
+                                f"{cfgfile}: {message}\n")
 
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -532,3 +551,38 @@ class TestHelpNamesReaders:
             assert flag in out
             assert (name in self._readers(actions[dest].help)) == \
                 (dest in READS[key]), (name, dest)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# run under -S -E, so that neither site nor an environment variable loads a
+# module first: what is in sys.modules is what the package imported
+IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from superdenom import cli
+after_import = sorted(m for m in sys.modules if m in sys.argv[3:])
+cli.main(["dump", "c3", "--prec", "2", "--config", sys.argv[2]])
+print(json.dumps([after_import, "configparser" in sys.modules]))
+"""
+
+
+class TestImportGraph:
+    """Start-up imports only what a run reads: the records are namedtuples,
+    not dataclasses (whose import pulls in inspect, ast, dis and tokenize),
+    no module imports typing, and only --config imports configparser."""
+
+    UNUSED = ("dataclasses", "inspect", "configparser", "typing")
+
+    def test_start_up_leaves_out_unused_stdlib(self, tmp_path):
+        cfgfile = tmp_path / "run.ini"
+        cfgfile.write_text("prec = 2\n")
+        proc = subprocess.run(
+            [sys.executable, "-S", "-E", "-c", IMPORT_PROBE, str(SRC),
+             str(cfgfile), *self.UNUSED],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        after_import, config_loaded = json.loads(
+            proc.stdout.splitlines()[-1])
+        assert after_import == []
+        assert config_loaded
