@@ -98,9 +98,8 @@ def verify_theta(cfg):
     prec = Fraction(cfg.prec)
     checks = []
     for lab, shift in sorted(tc.shift_table.items()):
-        s = tuple(Fraction(x) for x in shift)
-        cls = sum(x * x for x in s) % 2
-        brute = lattices.theta_coset(tc.complement, s, prec)
+        cls = sum(x * x for x in shift) % 2
+        brute = lattices.theta_coset(tc.complement, shift, prec)
         closed = etaq.theta_coset_formula(case, cls, prec)
         d = brute.first_difference(closed)
         checks.append(check(f"theta_coset_{'+'.join(map(str, lab))}",

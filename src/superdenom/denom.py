@@ -47,7 +47,7 @@ from math import comb, gcd
 from operator import itemgetter, mul
 
 from .mult import TwistClass, class_multiplicity, mult_closed
-from .lattices import LorentzianPoint, vectors_by_norm
+from .lattices import LorentzianPoint, largest_mn, vectors_by_norm
 
 Key = tuple  # (rcoords tuple, m, n)
 
@@ -388,7 +388,7 @@ def _factor_list(tc: TwistClass, max_height: int, form: str):
     closed = form == "theorem1" or N == 1
     # grow the c series once: the largest exponent read is -alpha^2/2 at
     # r* = 0 and the largest mn
-    tc._need((max_height // 2) * ((max_height + 1) // 2))
+    tc._need(largest_mn(max_height))
     factors = []
     for p in lor.positive_cone_enum(max_height):
         r = p.rcoords
@@ -423,9 +423,7 @@ def lattice_vectors(tc: TwistClass, series: LatticeSeries):
     key + m * pack(0, 1), summed by linearity from the digits of G c after
     one scan raises pack's OverflowError if any digit is past its bound.
     """
-    H = series.max_height
-    max_mn = (H // 2) * ((H + 1) // 2)
-    by_norm = vectors_by_norm(tc.fixed, 2 * max_mn)
+    by_norm = vectors_by_norm(tc.fixed, 2 * largest_mn(series.max_height))
     digits = chain.from_iterable(map(itemgetter(0),
                                      chain.from_iterable(by_norm.values())))
     if max(map(abs, digits), default=0) > series.limit:
@@ -452,7 +450,7 @@ def log_derivative_quarters(tc: TwistClass, vectors, max_height: int):
     N = tc.order
     # grow the c series once: the largest exponent read is -alpha^2/2 at
     # r = 0 and the largest mn
-    tc._need((max_height // 2) * ((max_height + 1) // 2))
+    tc._need(largest_mn(max_height))
     unit = 1 << (_DIGIT_BITS * tc.fixed.rank)
     quarters = [dict() for _ in range(max_height + 1)]
     # norm classes in order, each split into vectors off and in N L*, as

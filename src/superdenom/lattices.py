@@ -518,6 +518,12 @@ def build_coset_shift_table(fixed: IntegralLattice,
 # ----------------------------------------------------------------------
 # Lorentzian points over L = fixed + II_{1,1}
 
+def largest_mn(max_height: int) -> int:
+    """max(mn) over m, n >= 0 with m + n <= H: every cone point of height
+    at most H has r*^2 <= 2 largest_mn(H)."""
+    return (max_height // 2) * ((max_height + 1) // 2)
+
+
 class LorentzianPoint(namedtuple("LorentzianPoint", "rcoords m n")):
     """A point (r*; m, n) of L* = fixed* + II_{1,1}, r* in dual coordinates;
     equal, hashed and ordered as the tuple (r*, m, n)."""
@@ -560,8 +566,8 @@ class LorentzianLattice:
         """The r* of every cone point of height <= H as sorted (D r*^2,
         coords).  The points of (m, n) are (r*; m, n) over the prefix with
         D r*^2 <= 2Dmn."""
-        max_mn = (max_height // 2) * ((max_height + 1) // 2)
-        points, T = _enumerate_scaled(self.dual, None, 2 * max_mn)
+        points, T = _enumerate_scaled(self.dual, None,
+                                      2 * largest_mn(max_height))
         D = self.exponent  # q = T r*^2
         return sorted((q * D // T, coords) for coords, q in points)
 
@@ -597,8 +603,7 @@ class LorentzianLattice:
         if max_height >= 1:
             out += [(LorentzianPoint(zero, 1, 0), max_height),
                     (LorentzianPoint(zero, 0, 1), max_height)]
-        max_mn = (max_height // 2) * ((max_height + 1) // 2)
-        by_norm = vectors_by_norm(self.fixed, 2 * max_mn)
+        by_norm = vectors_by_norm(self.fixed, 2 * largest_mn(max_height))
         for m in range(1, max_height):
             for n in range(1, max_height + 1 - m):
                 for gc, g in by_norm.get(2 * m * n, ()):

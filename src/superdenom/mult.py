@@ -157,7 +157,7 @@ class TwistClass:
         if num < 0:
             return 0
         self._need(num // den)
-        return _integer(self.c.coeff_at(num, den), "c", num, den)
+        return self.c.coeff_at(num, den)
 
     def c_coeff(self, exp) -> int:
         """c(exp): multiplicity-series coefficient; 0 off the integer grid."""
@@ -167,16 +167,7 @@ class TwistClass:
     def tail_at(self, k: int) -> int:
         """a(k): the tail-series coefficient at the integer k."""
         self._need(k)
-        return _integer(self.tail.coeff_at(k, 1), "tail", k, 1)
-
-
-def _integer(v, name: str, num: int, den: int) -> int:
-    """A series coefficient (int or Fraction) as an int."""
-    if v.denominator != 1:
-        raise NonIntegralMultiplicity(
-            f"{name} coefficient {v} at {Fraction(num, den)} is not an "
-            f"integer")
-    return v.numerator
+        return self.tail.coeff_at(k, 1)
 
 
 def trace_term(tc: TwistClass, d: int, num: int, label: tuple,
@@ -191,8 +182,7 @@ def trace_term(tc: TwistClass, d: int, num: int, label: tuple,
     D2 = 2 * tc.lorentzian.exponent
     if d % tc.order == 0:
         tc._need_dim(num // D2)
-        gf = tc.gf_dim_by_coset[label]
-        return _integer(gf.coeff_at(num, D2), "dimension", num, D2)
+        return tc.gf_dim_by_coset[label].coeff_at(num, D2)
     tc._need(num // D2)
     if gcd(d, tc.order) != 1:
         raise NotImplementedError(
@@ -200,7 +190,7 @@ def trace_term(tc: TwistClass, d: int, num: int, label: tuple,
     if any(label):
         return 0
     gf = tc.gf_trace_even if parity == "even" else tc.gf_trace_odd
-    return _integer(gf.coeff_at(num, D2), "trace", num, D2)
+    return gf.coeff_at(num, D2)
 
 
 def mult_theorem1(tc: TwistClass, x: int, c: int, labels,

@@ -1,23 +1,24 @@
-"""Truncated Puiseux series over the rationals.
+"""Truncated Puiseux series with integer coefficients.
 
-A QSeries stores finitely many exact rational coefficients on the exponent
-grid (1/D)*Z together with a truncation bound T: every exponent below T is
+A QSeries stores finitely many exact int coefficients on the exponent grid
+(1/D)*Z together with a truncation bound T: every exponent below T is
 represented exactly, exponents at or above T are unknown.  trunc=None means
 the series is known exactly everywhere (a Puiseux polynomial).
 
-The kernel is integer.  A term is an int key k standing for q^{k/D}; its
-coefficient is an int, or a Fraction only when it is not an integer.  T is
-held as an int pair (numerator, denominator), so every loop bound is the
-int slot count ceil(T*D): slot k is known exactly when k < ceil(T*D).
-Fraction appears only at the API edge (trunc, coeff, items, valuation,
-to_pairs, repr) and in the arithmetic of non-integral coefficients.
+The kernel is integer.  A term is an int key k standing for q^{k/D} with
+an int coefficient; every constructor and scaled() raise TypeError on any
+other coefficient, and inverse() needs a leading coefficient of +-1, so
+the coefficients stay in Z.  T is held as an int pair (numerator,
+denominator), so every loop bound is the int slot count ceil(T*D): slot k
+is known exactly when k < ceil(T*D).  Fraction appears only at the API
+edge (trunc, coeff's exponent, items, valuation, to_pairs, repr).
 
-A product of two long, dense integer series is one big-int product by
-Kronecker substitution (D. Harvey, J. Symb. Comput. 44 (2009)): _pack
-writes each operand's coefficients into fixed-width byte slots of one int,
-wide enough for every coefficient of the product, and _unpack reads the
-product's slots back as balanced digits.  Products with a Fraction
-coefficient, a short operand or a sparse one loop over pairs of terms.
+A product of two long, dense series is one big-int product by Kronecker
+substitution (D. Harvey, J. Symb. Comput. 44 (2009)): _pack writes each
+operand's coefficients into fixed-width byte slots of one int, wide enough
+for every coefficient of the product, and _unpack reads the product's
+slots back as balanced digits.  Products with a short operand or a sparse
+one loop over pairs of terms.
 
 All operations are pure and compute the tightest sound truncation.
 """
@@ -53,16 +54,6 @@ def _ratio(x) -> tuple[int, int]:
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
-def _quotient(a, b):
-    """a/b exactly: an int when it is one, else a Fraction."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
 
 
 # Truncations are int pairs (n, d) with d > 0 standing for n/d; None is +inf.
@@ -136,8 +127,8 @@ _PACKED_SLOT_COST = 16
 
 def _packed_product(ta: dict, tb: dict, top: int):
     """The terms of ta*tb below slot top as one big-int product, or None
-    where a loop over pairs of terms is the way: a Fraction coefficient, a
-    short operand or a sparse one, whose dense span dwarfs its terms."""
+    where a loop over pairs of terms is the way: a short operand or a
+    sparse one, whose dense span dwarfs its terms."""
     pairs = len(ta) * len(tb)
     # a dense span is at least as long as its terms
     if pairs < _PACKED_SLOT_COST * (len(ta) + len(tb)):
@@ -147,8 +138,6 @@ def _packed_product(ta: dict, tb: dict, top: int):
     hi_a, hi_b = min(max(ta), top - 1 - lo_b), min(max(tb), top - 1 - lo_a)
     if hi_a < lo_a or \
             pairs < _PACKED_SLOT_COST * (hi_a - lo_a + hi_b - lo_b + 2):
-        return None
-    if {*map(type, ta.values()), *map(type, tb.values())} != {int}:
         return None
     da = list(map(ta.get, range(lo_a, hi_a + 1), repeat(0)))
     db = list(map(tb.get, range(lo_b, hi_b + 1), repeat(0)))
@@ -164,7 +153,7 @@ def _packed_product(ta: dict, tb: dict, top: int):
 
 
 class QSeries:
-    """Immutable truncated Puiseux series with exact rational data."""
+    """Immutable truncated Puiseux series with int coefficients."""
 
     __slots__ = ("expdenom", "terms", "_t")
 
@@ -175,23 +164,23 @@ class QSeries:
 
     @classmethod
     def _new(cls, D: int, terms: dict, t) -> "QSeries":
-        """The series of terms (int keys on the grid 1/D, int or Fraction
-        coefficients) truncated at the pair t."""
+        """The series of terms (int keys on the grid 1/D, int coefficients)
+        truncated at the pair t."""
         s = object.__new__(cls)
         s._set(D, terms, t)
         return s
 
     def _set(self, D: int, terms: dict, t):
+        # every constructor passes here
+        if not {int}.issuperset(map(type, terms.values())):
+            bad = next(c for c in terms.values() if type(c) is not int)
+            raise TypeError(f"QSeries coefficients are ints, got "
+                            f"{type(bad).__name__} {bad}")
         lim = _slots(t, D)
         if lim is None:
             clean = {k: c for k, c in terms.items() if c}
         else:
             clean = {k: c for k, c in terms.items() if c and k < lim}
-        # every constructor passes here: a coefficient is stored as an int
-        # unless it really is a fraction
-        for k, c in clean.items():
-            if type(c) is not int and c.denominator == 1:
-                clean[k] = c.numerator
         # reduce the exponent grid to its coarsest sound denominator
         g = D
         for k in clean:
@@ -219,7 +208,8 @@ class QSeries:
 
     @classmethod
     def from_terms(cls, pairs, trunc=None) -> "QSeries":
-        """Build from (exponent, coefficient) pairs with rational exponents."""
+        """Build from (exponent, coefficient) pairs with rational exponents
+        and int coefficients."""
         rows = [(_ratio(e), c) for e, c in pairs]
         D = 1
         for (_, den), _ in rows:
@@ -323,7 +313,7 @@ class QSeries:
         return QSeries._promote(other) - self
 
     def scaled(self, c) -> "QSeries":
-        """Multiply every coefficient by the rational scalar c."""
+        """Multiply every coefficient by the int c."""
         return QSeries._new(self.expdenom,
                             {k: c * v for k, v in self.terms.items()},
                             self._t)
@@ -376,22 +366,25 @@ class QSeries:
     __rmul__ = __mul__
 
     def inverse(self) -> "QSeries":
-        """Multiplicative inverse; leading monomial must be nonzero."""
+        """Multiplicative inverse; the leading coefficient must be +-1, so
+        the inverse has int coefficients (ArithmeticError otherwise)."""
         if not self.terms:
             raise ZeroLeadingTerm("cannot invert a series with no known terms")
         D = self.expdenom
+        k0 = min(self.terms)
+        inv0 = self.terms[k0]  # 1/c0 = c0 for c0 = +-1
+        if inv0 not in (1, -1):
+            raise ArithmeticError(
+                f"cannot invert in the integers: leading coefficient {inv0} "
+                f"at q^{Fraction(k0, D)}")
         if self._t is None:
             if len(self.terms) == 1:
-                ((k, c),) = self.terms.items()
-                return QSeries._new(D, {-k: _quotient(1, c)}, None)
+                return QSeries._new(D, {-k0: inv0}, None)
             raise ValueError("inverse of an exact non-monomial series is "
                              "infinite; restrict() to a truncation first")
-        k0 = min(self.terms)
-        # slots j of the unit part with (k0 + j)/D < trunc
+        # slots j of the unit part with (k0 + j)/D < trunc; the terms lie
+        # below trunc, so there is at least one
         nslots = _slots(self._t, D) - k0
-        if nslots <= 0:
-            raise ZeroLeadingTerm("cannot invert: truncation at the valuation")
-        inv0 = _quotient(1, self.terms[k0])
         # unit part u = sum_i b_i q^{i/D}, b_0 = c0; c = u^{-1} solves
         # c_j = -inv0 * sum_{0 < i <= j} b_i c_{j-i}
         b = sorted((k - k0, c) for k, c in self.terms.items()

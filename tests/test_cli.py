@@ -46,6 +46,12 @@ class TestExitCodes:
         code, _, _ = run(capsys, "verify", "nonexistent_target")
         assert code == 2
 
+    def test_theta_order_1_has_no_formula(self, capsys):
+        """The closed theta-coset formulas cover orders 3 and 7 only."""
+        code, out, err = run(capsys, "verify", "theta", "--order", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: no closed theta formula for order 1\n"
+
     def test_verify_has_no_csv(self, capsys):
         code, out, err = run(capsys, "verify", "lattice", "--order", "3",
                              "--format", "csv")

@@ -66,6 +66,21 @@ class TestConstruction:
         s = S([(0, 1)])
         assert s.coeff(10 ** 6) == 0
 
+    def test_non_int_coefficient_raises(self):
+        """Coefficients are ints: every constructor and scaled() refuse a
+        Fraction, even an integral one, where the series is built."""
+        s = S([(0, 1), (1, 2)], trunc=F(5))
+        builders = [lambda: QSeries(1, {0: F(1, 2)}, None),
+                    lambda: QSeries(1, {0: F(2)}, F(3)),
+                    lambda: S([(0, 1), (F(1, 2), F(1, 3))]),
+                    lambda: QSeries.constant(F(1, 2)),
+                    lambda: QSeries.monomial(F(1, 2), F(3, 2)),
+                    lambda: s.scaled(F(1, 8)),
+                    lambda: s * F(1, 8)]
+        for build in builders:
+            with pytest.raises(TypeError, match="coefficients are ints"):
+                build()
+
 
 class TestArithmetic:
     def test_add_aligns_grids(self):
@@ -85,12 +100,18 @@ class TestArithmetic:
         assert all(inv.coeff(k) == 1 for k in range(8))
 
     def test_inverse_with_valuation_shifts_trunc(self):
-        a = S([(1, 2), (2, 2)], trunc=F(6))  # 2q(1+q), exact below q^6
+        a = S([(1, -1), (2, -1)], trunc=F(6))  # -q(1+q), exact below q^6
         inv = a.inverse()
         assert inv.trunc == F(4)
-        assert inv.coeff(-1) == F(1, 2)
-        assert inv.coeff(0) == F(-1, 2)
+        assert inv.coeff(-1) == -1
+        assert inv.coeff(0) == 1
         assert (a * inv).coeff(0) == 1
+        # 1/2 is not an int
+        two = S([(1, 2), (2, 2)], trunc=F(6))
+        for invert in (two.inverse, lambda: two ** -2):
+            with pytest.raises(ArithmeticError,
+                               match="leading coefficient 2 "):
+                invert()
 
     def test_inverse_of_zero_raises(self):
         with pytest.raises(ZeroLeadingTerm):
@@ -111,11 +132,10 @@ class TestArithmetic:
         assert s.exact_div(2).to_pairs() == [("0", "2"), ("1/2", "-3")]
         assert s.exact_div(-2).trunc == F(7, 3)
 
-    @pytest.mark.parametrize("pairs,n", [([(0, 2), (1, 3)], 2),
-                                         ([(0, 4), (2, F(1, 2))], 1)])
+    @pytest.mark.parametrize("pairs,n", [([(0, 2), (1, 3)], 2)])
     def test_exact_div_remainder_raises(self, pairs, n):
-        """A coefficient n does not divide in the integers, a Fraction
-        among them, raises rather than rounding."""
+        """A coefficient n does not divide in the integers raises rather
+        than rounding."""
         with pytest.raises(ArithmeticError, match=f"not divisible by {n}"):
             S(pairs, trunc=F(5)).exact_div(n)
 
@@ -168,7 +188,7 @@ _smalls = st.lists(st.tuples(st.integers(0, 6), _coeffs),
 
 
 def _mk(pairs):
-    return QSeries.from_terms([(F(e), F(c)) for e, c in pairs], trunc=F(7))
+    return QSeries.from_terms([(F(e), c) for e, c in pairs], trunc=F(7))
 
 
 class TestRingAxioms:
@@ -219,19 +239,18 @@ class TestRingAxioms:
 # the integer kernel against the dict-of-Fraction kernel it replaced
 
 _grid_exps = st.builds(F, st.integers(-6, 24), st.sampled_from([1, 2, 3, 6]))
-_rational_coeffs = st.one_of(
-    st.integers(-9, 9),
-    st.builds(F, st.integers(-9, 9), st.sampled_from([1, 2, 3])))
+# +-1 often, so that many series have an inverse in the integers
+_int_coeffs = st.one_of(st.sampled_from([1, -1]), st.integers(-9, 9))
 _truncs = st.one_of(st.none(), st.builds(F, st.integers(-2, 30),
                                          st.sampled_from([1, 2, 3, 5])))
 # sparse: a few terms anywhere on a fine grid; dense: a run of consecutive
 # slots, as eta and cycle products fill them
-_sparse_pairs = st.lists(st.tuples(_grid_exps, _rational_coeffs),
+_sparse_pairs = st.lists(st.tuples(_grid_exps, _int_coeffs),
                          max_size=8)
 _dense_pairs = st.builds(
     lambda start, den, cs: [(F(start + i, den), c) for i, c in enumerate(cs)],
     st.integers(-3, 6), st.sampled_from([1, 2]),
-    st.lists(_rational_coeffs, min_size=1, max_size=24))
+    st.lists(_int_coeffs, min_size=1, max_size=24))
 _series = st.tuples(st.one_of(_sparse_pairs, _dense_pairs), _truncs)
 
 
@@ -256,9 +275,7 @@ def _agree(new, old):
         return
     assert (new.expdenom, new.terms, new.trunc, new.to_pairs()) == \
         (old.expdenom, old.terms, old.trunc, old.to_pairs())
-    # an int unless it really is a fraction
-    assert all(type(c) is int or c.denominator != 1
-               for c in new.terms.values())
+    assert all(type(c) is int for c in new.terms.values())
 
 
 class TestFractionOracle:
@@ -276,9 +293,19 @@ class TestFractionOracle:
     @settings(max_examples=300, deadline=None)
     @given(_series, st.integers(-3, 3))
     def test_inverse_and_powers(self, a, e):
-        """Leading coefficients other than +-1 included."""
+        """A leading coefficient other than +-1 has no inverse in the
+        integers: ArithmeticError, where the oracle gives fractions."""
         x, xo = _both(a)
-        _agree(_outcome(x.inverse), _outcome(xo.inverse))
+        if x.terms and x.terms[min(x.terms)] not in (1, -1):
+            with pytest.raises(ArithmeticError, match="leading coefficient"):
+                x.inverse()
+            if e < 0:
+                with pytest.raises(ArithmeticError,
+                                   match="leading coefficient"):
+                    x ** e
+                return
+        else:
+            _agree(_outcome(x.inverse), _outcome(xo.inverse))
         _agree(_outcome(lambda: x ** e), _outcome(lambda: xo ** e))
 
     @settings(max_examples=200, deadline=None)
@@ -306,8 +333,8 @@ class TestFractionOracle:
 
 class TestIntegerKernel:
     def test_integer_arithmetic_builds_no_fraction(self, monkeypatch):
-        """Products, sums, inverses and powers of integer series with an
-        integral leading coefficient build no Fraction in the kernel."""
+        """Products, sums, inverses and powers build no Fraction in the
+        kernel."""
         a = QSeries(1, {k: (-1) ** k * (k + 1) for k in range(200)}, 200)
         b = QSeries(1, {k: 3 * k - 7 for k in range(200)}, F(401, 2))
         sparse = QSeries(1, {7 * k * k: k + 1 for k in range(200)}, None)
@@ -432,13 +459,6 @@ class TestPackedProduct:
         sparse = QSeries(1, {7 * k * k: k + 1 for k in range(200)}, None)
         monkeypatch.setattr(series, "_pack", _refuse)
         _agree(sparse * sparse, _oracle(sparse) * _oracle(sparse))
-
-    def test_fraction_operand_is_never_packed(self, monkeypatch):
-        a = _dense(1, 0, [3 * k - 7 for k in range(200)], 200)
-        b = _dense(1, 0, [F(1, 3)] + [k + 1 for k in range(1, 200)], 200)
-        monkeypatch.setattr(series, "_pack", _refuse)
-        _agree(a * b, _oracle(a) * _oracle(b))
-        _agree(b * a, _oracle(b) * _oracle(a))
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.data())
