@@ -97,10 +97,13 @@ def verify_theta(cfg):
     tc = mult.TwistClass(cfg.order)
     prec = Fraction(cfg.prec)
     checks = []
+    formulas = {}  # norm class -> its closed formula, shared by its cosets
     for lab, shift in sorted(tc.shift_table.items()):
         cls = sum(x * x for x in shift) % 2
         brute = lattices.theta_coset(tc.complement, shift, prec)
-        closed = etaq.theta_coset_formula(case, cls, prec)
+        closed = formulas.get(cls)
+        if closed is None:
+            closed = formulas[cls] = etaq.theta_coset_formula(case, cls, prec)
         d = brute.first_difference(closed)
         checks.append(check(f"theta_coset_{'+'.join(map(str, lab))}",
                             d is None, range_=f"q^0..q^{cfg.prec}",
@@ -186,8 +189,8 @@ def verify_mult(cfg):
     tc = mult.TwistClass(cfg.order)
     try:
         table = mult.build_mult_table(tc, cfg.height, cfg.max_norm)
-    except (mult.TheoremClosedFormMismatch,
-            mult.NonIntegralMultiplicity) as exc:
+    except (mult.TheoremClosedFormMismatch, mult.NonIntegralMultiplicity,
+            mult.NegativeMultiplicity) as exc:
         return [check("mult_theorem1_equals_closed", False,
                       range_=f"height<={cfg.height}", location=str(exc))]
     return [check("mult_theorem1_equals_closed", True,
@@ -306,13 +309,18 @@ class _Store(argparse.Action):
         namespace.given = namespace.given | {self.dest}
 
 
-def build_parser():
-    """The top-level parser and its subcommand parsers by name."""
+def build_parser(command=None):
+    """The top-level parser and its subcommand parsers by name: only
+    command's when it names one, else all of them (for the top-level help
+    and an unknown command)."""
     p = argparse.ArgumentParser(
         prog="superdenom",
         description="Exact verification of the twisted denominator "
                     "identities of the fake monster superalgebra.")
-    sub = p.add_subparsers(dest="command", required=True)
+    # with one subparser the usage still lists every command
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{%s}" % ",".join(COMMANDS))
 
     def common(sp, command, order=3, formats=("text", "json", "csv")):
         # every option below stores through _Store
@@ -342,17 +350,18 @@ def build_parser():
         sp.add_argument("--config",
                         help="INI-style key=value defaults (flags win)")
 
-    sv = sub.add_parser("verify", help="run an exact verification")
-    sv.add_argument("target", choices=sorted(VERIFY_TARGETS))
-    common(sv, "verify", formats=("text", "json"))
-
-    st = sub.add_parser("table", help="emit a multiplicity table")
-    st.add_argument("kind", choices=("mult", "simple_roots"))
-    common(st, "table")
-
-    sd = sub.add_parser("dump", help="dump a named q-series")
-    sd.add_argument("series", help=f"one of: {', '.join(SERIES_NAMES)}")
-    common(sd, "dump", order=1)
+    if command in (None, "verify"):
+        sv = sub.add_parser("verify", help="run an exact verification")
+        sv.add_argument("target", choices=sorted(VERIFY_TARGETS))
+        common(sv, "verify", formats=("text", "json"))
+    if command in (None, "table"):
+        st = sub.add_parser("table", help="emit a multiplicity table")
+        st.add_argument("kind", choices=("mult", "simple_roots"))
+        common(st, "table")
+    if command in (None, "dump"):
+        sd = sub.add_parser("dump", help="dump a named q-series")
+        sd.add_argument("series", help=f"one of: {', '.join(SERIES_NAMES)}")
+        common(sd, "dump", order=1)
     return p, sub.choices
 
 
@@ -362,9 +371,14 @@ def parse_args(argv) -> argparse.Namespace:
     them and flags win.
 
     A config fault exits through argparse with status 2, as a bad flag does,
-    and so does an option on argv that the subcommand does not read.
+    and so does an option on argv that the subcommand does not read.  The
+    tree holds only the subcommand that argv names first, when it names
+    one, so a call builds one subparser, not three.
     """
-    parser, commands = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = build_parser(
+        argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     if args.config:
         sp = commands[args.command]

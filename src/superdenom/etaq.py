@@ -212,11 +212,16 @@ def c_series(order: int, prec) -> QSeries:
 # trace and dimension generating functions
 
 def _fermion_half(shape: CycleShape, prec: Fraction) -> QSeries:
-    """(P+ - P-)/2 with P+- = cycle_product(shape, +-1, True, prec).  The
-    difference is even, so the half is an exact integer division that
-    raises ArithmeticError on an odd coefficient."""
-    return (cycle_product(shape, +1, True, prec)
-            - cycle_product(shape, -1, True, prec)).exact_div(2)
+    """(P+ - P-)/2 with P+- = cycle_product(shape, +-1, True, prec), from
+    P+ alone.  With y = q^(1/2), P-(y) = P+(-y) for every shape: an odd
+    cycle's block 1 +- y^(a(2n-1)) changes sign with y, and an even cycle's
+    block is 1 - y^(a(2n-1)) for either sign.  So the half is the odd-in-y
+    part of P+, read off its terms with no subtraction and no division."""
+    p = cycle_product(shape, +1, True, prec)
+    # a product whose grid reduced from 1/2 to 1 is even in y
+    odd = {k: c for k, c in p.terms.items() if k & 1} \
+        if p.expdenom == 2 else {}
+    return QSeries(p.expdenom, odd, prec)
 
 
 def _boson_inverse(shape: CycleShape, prec: Fraction) -> QSeries:
@@ -258,9 +263,11 @@ def verify_susy_identity(order: int, prec=50):
     Returns (ok, report) with report listing each sub-check and its first
     discrepancy exponent, if any: the even and odd trace series of
     SHAPES[order] agree, and so does the raw product form, before division
-    by the boson part, q^{-1/2} (P+ - P-)/2 = trace P+ below prec - 1/2.
-    The two checks share their products: four cycle products and one
-    inversion in all.
+    by the boson part, q^{-1/2} H = trace P+ below prec - 1/2, with H the
+    fermion half (P+ - P-)/2 of the half-shifted products and P+ the
+    unshifted product of sign +1.  The two checks share their products:
+    three cycle products (the half-shifted P+ that H is read from, the
+    unshifted P+ and the boson product P0) and one inversion in all.
     """
     if order not in SHAPES:
         raise ValueError(f"unsupported twist order {order}")

@@ -35,6 +35,10 @@ class NonIntegralMultiplicity(ArithmeticError):
     """The convolution sum returned a non-integer (invariant violation)."""
 
 
+class NegativeMultiplicity(ArithmeticError):
+    """A multiplicity both formulas agree on is negative (sign error)."""
+
+
 class TheoremClosedFormMismatch(ArithmeticError):
     """Convolution formula and closed form disagree at some root."""
 
@@ -295,7 +299,7 @@ def _checked(tc: TwistClass, sig: tuple, p: LorentzianPoint):
         raise TheoremClosedFormMismatch(
             f"at {p}: convolution {(even, odd)} vs closed {closed}")
     if even < 0 or odd < 0:
-        raise NonIntegralMultiplicity(f"negative multiplicity at {p}")
+        raise NegativeMultiplicity(f"negative multiplicity at {p}")
     return even, odd
 
 

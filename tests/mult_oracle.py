@@ -16,7 +16,7 @@ from operator import mul
 
 from superdenom.arith import divisors
 from superdenom.lattices import LorentzianPoint
-from superdenom.mult import (MULT_COLUMNS, NonIntegralMultiplicity, Table,
+from superdenom.mult import (MULT_COLUMNS, NegativeMultiplicity, Table,
                              TheoremClosedFormMismatch, TwistClass,
                              mult_closed, mult_theorem1, trace_term)
 
@@ -89,7 +89,7 @@ def build_mult_table(tc: TwistClass, max_height: int,
             raise TheoremClosedFormMismatch(
                 f"at {p}: convolution {(even, odd)} vs closed {closed}")
         if even < 0 or odd < 0:
-            raise NonIntegralMultiplicity(f"negative multiplicity at {p}")
+            raise NegativeMultiplicity(f"negative multiplicity at {p}")
         if even != odd:
             raise TheoremClosedFormMismatch(
                 f"parity asymmetry at {p}: {even} != {odd}")

@@ -104,17 +104,18 @@ class TestUnreadFlags:
         ("verify susy --prec 5 --config CFG", 0),
     ])
     def test_parser_built_once(self, monkeypatch, tmp_path, argv, code):
-        """One argparse tree per parse_args call, also when it rejects an
-        abbreviated --flag=value option or reads a config file."""
+        """One argparse tree per parse_args call, holding only the named
+        subcommand, also when it rejects an abbreviated --flag=value option
+        or reads a config file."""
         import superdenom.cli as cli
         cfgfile = tmp_path / "run.ini"
         cfgfile.write_text("order = 7\njobs = 2\n")
         calls = []
         orig = cli.build_parser
 
-        def counted():
-            calls.append(1)
-            return orig()
+        def counted(command=None):
+            calls.append(command)
+            return orig(command)
         monkeypatch.setattr(cli, "build_parser", counted)
         argv = argv.replace("CFG", str(cfgfile)).split()
         if code:
@@ -123,7 +124,34 @@ class TestUnreadFlags:
             assert exc.value.code == code
         else:
             assert cli.parse_args(argv).order == 7
-        assert len(calls) == 1
+        assert calls == ["verify"]
+
+    @pytest.mark.parametrize("command", ["verify", "table", "dump"])
+    def test_one_subparser_has_the_full_trees_help(self, command):
+        """build_parser(command) adds only that subparser, and its help is
+        the one the full tree gives it."""
+        alone = build_parser(command)[1]
+        assert list(alone) == [command]
+        assert alone[command].format_help() == \
+            build_parser()[1][command].format_help()
+
+    @pytest.mark.parametrize("argv,code,listed", [
+        (["--help"], 0, ("run an exact verification",
+                         "emit a multiplicity table",
+                         "dump a named q-series")),
+        (["nonexistent"], 2, ("(choose from 'verify', 'table', 'dump')",)),
+        (["verify", "susy", "extra"], 2, ("unrecognized arguments: extra",)),
+    ], ids=["help", "unknown", "extra-argument"])
+    def test_top_level_lists_every_command(self, capsys, argv, code, listed):
+        """The top-level usage lists all three commands, also when the tree
+        holds only the named one (an extra argument is the top-level
+        parser's error); without a command first on argv it holds all
+        three, and its help and errors name them."""
+        got, out, err = run(capsys, *argv)
+        assert got == code
+        assert (out + err).startswith(
+            "usage: superdenom [-h] {verify,table,dump} ...\n")
+        assert all(text in out + err for text in listed)
 
     def test_params_keep_unread_defaults(self, capsys):
         code, report, _ = run_json(capsys, "verify", "susy", "--prec", "5")
@@ -169,6 +197,23 @@ class TestThetaStretch:
         assert len(report["checks"]) == {3: 9, 7: 7}[order]
         assert all(c["pass"] and c["range"] == "q^0..q^40"
                    for c in report["checks"])
+
+    @pytest.mark.parametrize("order,classes", [(3, 3), (7, 4)])
+    def test_one_formula_per_norm_class(self, capsys, monkeypatch, order,
+                                        classes):
+        """The 9 A2+A2 cosets share 3 norm classes and the 7 A6 cosets 4:
+        each class's closed formula is evaluated once."""
+        from superdenom import etaq
+        real, calls = etaq.theta_coset_formula, []
+
+        def counted(case, cls, prec):
+            calls.append(cls)
+            return real(case, cls, prec)
+        monkeypatch.setattr(etaq, "theta_coset_formula", counted)
+        code, report, _ = run_json(capsys, "verify", "theta", "--order",
+                                   str(order), "--prec", "10")
+        assert code == 0 and len(report["checks"]) == {3: 9, 7: 7}[order]
+        assert len(calls) == len(set(calls)) == classes
 
 
 class TestReports:
@@ -576,9 +621,11 @@ print(json.dumps([after_import, "configparser" in sys.modules]))
 class TestImportGraph:
     """Start-up imports only what a run reads: the records are namedtuples,
     not dataclasses (whose import pulls in inspect, ast, dis and tokenize),
-    no module imports typing, and only --config imports configparser."""
+    no module imports typing, and only --config imports configparser.  No
+    parser is built at import, so argparse's first message lookup, which
+    imports locale, happens in the call."""
 
-    UNUSED = ("dataclasses", "inspect", "configparser", "typing")
+    UNUSED = ("dataclasses", "inspect", "configparser", "typing", "locale")
 
     def test_start_up_leaves_out_unused_stdlib(self, tmp_path):
         cfgfile = tmp_path / "run.ini"

@@ -1,5 +1,6 @@
 """Multiplicity formulas: convolution sum, closed forms, cross-checks."""
 
+import json
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import mult_oracle
 from mult_oracle import closed_at, theorem1_at, trace_at
-from superdenom import mult
+from superdenom import cli, mult
 from superdenom.arith import divisors, mobius
 from superdenom.denom import verify_identity
 from superdenom.etaq import trace_gfs
@@ -293,7 +294,6 @@ class TestMultTable:
             assert row[5] >= 0
 
     def test_export_roundtrip(self, tc3):
-        import json
         table = build_mult_table(tc3, 2)
         parsed = json.loads(table.to_json())
         assert parsed["columns"] == list(MULT_COLUMNS)
@@ -468,6 +468,29 @@ class TestNegativeControls:
                            match=re.escape(f"at {point}: convolution "
                                            "(9, 8) vs closed (8, 8)")):
             build_mult_table(tc, 3)
+
+    def test_negative_multiplicity_is_a_sign_error(self, monkeypatch,
+                                                   capsys):
+        """Both formulas agreeing on -1 on L raise NegativeMultiplicity, not
+        NonIntegralMultiplicity, at the first point on L, (0; 0, 1); verify
+        mult still reports the failure there and exits 1."""
+        monkeypatch.setattr(mult, "mult_theorem1",
+                            lambda tc, x, c, labels, parity, at=None:
+                            0 if any(labels[1]) else -1)
+        monkeypatch.setattr(mult, "mult_closed",
+                            lambda tc, x, divisible: (-1, -1))
+        tc = TwistClass(3)
+        point = LorentzianPoint(_zero(tc), 0, 1)
+        message = f"negative multiplicity at {point}"
+        with pytest.raises(mult.NegativeMultiplicity) as exc:
+            build_mult_table(tc, 2)
+        assert str(exc.value) == message
+        assert not isinstance(exc.value, NonIntegralMultiplicity)
+        code = cli.main(["verify", "mult", "--order", "3", "--height", "2",
+                         "--format", "json"])
+        check, = json.loads(capsys.readouterr().out)["checks"]
+        assert (code, check["pass"], check["first_discrepancy"]["location"]) \
+            == (1, False, message)
 
     @pytest.mark.parametrize("by,error", [
         (3, TheoremClosedFormMismatch), (1, NonIntegralMultiplicity)])
